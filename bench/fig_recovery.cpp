@@ -11,8 +11,7 @@
  * For each depth the store is fully archived, @p depth extra edges are
  * appended (log-only), the process "crashes", and the store is recovered
  * twice: into an inline-archiving instance and into a pipelined one. Both
- * report the structured RecoveryReport plus the post-recovery re-archive
- * wall (the time until the replayed window is back in PMEM chains).
+ * report the structured RecoveryReport.
  *
  * Emits BENCH_recovery.json (XPG_BENCH_RECOVERY_JSON to override) so the
  * depth scaling is machine-checkable. PASS: every recovery returns Ok
@@ -27,7 +26,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "util/sim_clock.hpp"
 
 using namespace xpg;
 using namespace xpg::bench;
@@ -39,7 +37,6 @@ struct Row
     std::string mode; ///< archiving mode of the recovered instance
     uint64_t depth;   ///< un-archived log edges at crash time
     RecoveryReport report;
-    uint64_t rearchiveNs; ///< archiveAll() wall on the recovered store
 };
 
 void
@@ -55,7 +52,6 @@ writeJson(const std::vector<Row> &rows, const Dataset &ds)
         row.set("archiving", r.mode);
         row.set("log_depth", r.depth);
         row.set("recovery_ns", r.report.recoveryNs);
-        row.set("rearchive_ns", r.rearchiveNs);
         row.set("edges_replayed", r.report.edgesReplayed);
         row.set("edges_deduped", r.report.edgesDeduped);
         row.set("repaired", r.report.repaired());
@@ -99,8 +95,7 @@ main(int argc, char **argv)
 
     TablePrinter table("Recovery cost vs un-archived log depth "
                        "(simulated time)");
-    table.header({"archiving", "log depth", "replayed", "recovery",
-                  "re-archive"});
+    table.header({"archiving", "log depth", "replayed", "recovery"});
     for (const uint64_t depth : depths) {
         for (const bool pipelined : {false, true}) {
             // Build the victim: fully archived base graph plus `depth`
@@ -133,14 +128,10 @@ main(int argc, char **argv)
                 ok = false;
                 continue;
             }
-            const uint64_t start = SimClock::now();
-            recovered->archiveAll();
-            Row r{pipelined ? "pipelined" : "inline", depth, report,
-                  SimClock::now() - start};
+            Row r{pipelined ? "pipelined" : "inline", depth, report};
             table.row({r.mode, std::to_string(depth),
                        std::to_string(report.edgesReplayed),
-                       TablePrinter::seconds(report.recoveryNs),
-                       TablePrinter::seconds(r.rearchiveNs)});
+                       TablePrinter::seconds(report.recoveryNs)});
             rows.push_back(std::move(r));
         }
     }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 benchmark driver: configures and builds the tree, runs the
-# fig14 query bench (vector vs visitor engines), the query-primitive
+# fig14 query bench (each kernel once per store), the query-primitive
 # microbenchmarks, the concurrent-ingest scaling bench, and the
 # recovery-depth bench, and leaves the machine-readable numbers in
 # BENCH_query.json / BENCH_ingest.json / BENCH_recovery.json (override
@@ -9,7 +9,9 @@
 #
 # Between build and benches the bounded crash-sweep stage runs: every
 # test labeled "crash" (the systematic power-loss sweep over XPGraph and
-# GraphOne, a few seconds wall time).
+# GraphOne, a few seconds wall time), followed by 20 repeats of the
+# log-space contention regression (two sessions racing for one node's
+# tiny log, in both archiving modes) — a race fails a run, not most runs.
 #
 # With XPG_TSAN=1 a second build tree (<build-dir>-tsan) is compiled
 # with -DXPG_SANITIZE=thread and the concurrency test suites run under
@@ -81,7 +83,7 @@ if [[ "${XPG_TSAN:-0}" == "1" ]]; then
     cmake -B "${tsan_dir}" -S "${repo_root}" -DXPG_SANITIZE=thread
     cmake --build "${tsan_dir}" -j "$(nproc)" --target xpg_tests
     "${tsan_dir}/tests/xpg_tests" \
-        --gtest_filter='Sessions/*:ConcurrentIngest*:IngestSession*:ConcurrentRecovery*:Telemetry*:Attribution*:ReadView*:Delete*:Compact*:Ops*:OpScope*:Explain*'
+        --gtest_filter='Sessions/*:ConcurrentIngest*:*LogSpaceContention*:IngestSession*:ConcurrentRecovery*:Telemetry*:Attribution*:ReadView*:Delete*:Compact*:Ops*:OpScope*:Explain*'
 fi
 
 if [[ "${XPG_ASAN:-0}" == "1" ]]; then
@@ -97,7 +99,8 @@ fi
 cmake -B "${build_dir}" -S "${repo_root}"
 cmake --build "${build_dir}" -j "$(nproc)" \
       --target fig14_query micro_primitives fig20_ingest fig_recovery \
-               fig13_pmem_traffic fig_serving fig_churn xpg_crash_tests
+               fig13_pmem_traffic fig_serving fig_churn xpg_crash_tests \
+               xpg_tests
 
 # Bounded crash-sweep stage: systematic power-loss points with recovery
 # validation (tests/test_crash_sweep.cpp). The torn-write sweep exports
@@ -105,6 +108,8 @@ cmake --build "${build_dir}" -j "$(nproc)" \
 # a crash leaves behind must be machine-readable, not just present.
 export XPG_FLIGHT_RECORD_OUT="${XPG_FLIGHT_RECORD_OUT:-${repo_root}/BENCH_flight_record.json}"
 ctest --test-dir "${build_dir}" -L crash --output-on-failure
+ctest --test-dir "${build_dir}" -R 'LogSpaceContention' \
+      --repeat until-fail:20 --output-on-failure
 python3 - "${XPG_FLIGHT_RECORD_OUT}" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))

@@ -95,7 +95,6 @@ class GraphOne : public GraphStore
 {
   public:
     explicit GraphOne(const GraphOneConfig &config);
-    ~GraphOne() override;
 
     /**
      * Re-open a crashed, file-backed Pmem-variant instance: adopts the
@@ -217,7 +216,7 @@ class GraphOne : public GraphStore
     void ensureCapacity(Direction &dir, vid_t v, uint32_t increment);
     void appendRecord(Direction &dir, vid_t v, vid_t record);
 
-    // --- concurrent logging (sessions + default shim) ---
+    // --- concurrent logging (sessions) ---
     /** Published-but-unarchived edges. */
     uint64_t
     pendingEdges() const
@@ -299,11 +298,9 @@ class GraphOne : public GraphStore
 
     // stats (relaxed atomics: updated from concurrent sessions)
     std::atomic<uint64_t> loggingNs_{0};
-    std::atomic<uint64_t> defaultSessionNs_{0};
     std::atomic<uint64_t> sessionNsMax_{0};
-    /** Default shim / slowest session stream walls: logging plus the
-     *  archive phases that client coordinated inline. */
-    std::atomic<uint64_t> defaultStreamNs_{0};
+    /** Slowest session stream wall: logging plus the archive phases
+     *  that client coordinated inline. */
     std::atomic<uint64_t> streamNsMax_{0};
     std::atomic<uint64_t> archivingNs_{0};
     std::atomic<uint64_t> edgesLogged_{0};

@@ -21,9 +21,10 @@ struct IngestStats
     // so the pipelined ingest time is the maximum of the two streams.
     uint64_t loggingNs = 0;    ///< summed over every logging stream
     /**
-     * The slowest single logging stream (a session or the default
-     * shim). With one client thread this equals loggingNs; with N
-     * concurrent sessions it is the wall-clock of the logging side.
+     * The slowest single logging stream (a session, or XPGraph's
+     * bufferEdges() convenience stream). With one client thread this
+     * equals loggingNs; with N concurrent sessions it is the
+     * wall-clock of the logging side.
      * 0 when the store predates per-stream accounting.
      */
     uint64_t loggingNsMax = 0;

@@ -500,9 +500,6 @@ XPGraph::phaseExitLocked()
 
 XPGraph::~XPGraph()
 {
-    // The deprecated addEdge* shims hold a lazily opened session in the
-    // base class; release it before asserting every client closed.
-    resetDefaultSession();
     XPG_ASSERT(openSessions_.load(std::memory_order_relaxed) == 0,
                "destroying XPGraph with open ingestion sessions");
     XPG_ASSERT(viewBoundaries_.empty(),
@@ -1044,10 +1041,11 @@ uint64_t
 XPGraph::bufferEdges(const Edge *edges, uint64_t n)
 {
     // Single-client convenience: node 0's log, no thread binding,
-    // accounted like the legacy default stream.
+    // accounted as its own stream.
     const AppendCost cost = appendFromClient(0, /*bind=*/false, edges, n);
-    defaultSessionNs_.fetch_add(cost.loggingNs, std::memory_order_relaxed);
-    defaultStreamNs_.fetch_add(cost.streamNs(), std::memory_order_relaxed);
+    bufferEdgesNs_.fetch_add(cost.loggingNs, std::memory_order_relaxed);
+    bufferEdgesStreamNs_.fetch_add(cost.streamNs(),
+                                   std::memory_order_relaxed);
     bufferAllEdges();
     return n;
 }
@@ -1177,24 +1175,26 @@ XPGraph::waitForLogSpace(unsigned node, uint64_t &inline_ns)
             return; // another session already reclaimed space
         const uint64_t before = archivePhaseNsLocked();
         runBufferingPhaseLocked();
-        if (log.freeSlots() == 0) {
+        const bool flushed = log.freeSlots() == 0;
+        if (flushed) {
             // Everything is buffered but the log is still full: flush.
             runFlushAllLocked(/*release_buffers=*/false);
         }
         inline_ns += archivePhaseNsLocked() - before;
-        if (log.freeSlots() == 0) {
+        if (flushed && log.freeSlots() == 0 && viewsPinned_) {
             // Flush-all reclaimed nothing: an open read view pins the
             // log's reclaim floor below the flushed frontier. Wait for
             // it to close (closeView recomputes the floors and
             // notifies); the wait releases archiveMutex_, so closing
             // is never blocked by this stall.
-            XPG_ASSERT(viewsPinned_,
-                       "flush-all failed to reclaim log");
             XPG_TRACE_SCOPE(viewWaitSpan, "log_view_pin_wait", "ingest");
             enterBackpressure(node);
             spaceCv_.wait(lock, [&] { return log.freeSlots() > 0; });
             exitBackpressure(node);
         }
+        // Otherwise the phases reclaimed space. A full log here means
+        // another session on this node claimed the freed slots first
+        // (tryReserve takes no lock); appendFromClient just retries.
         return;
     }
     reclaimRequested_.store(true, std::memory_order_relaxed);
@@ -1205,11 +1205,20 @@ XPGraph::waitForLogSpace(unsigned node, uint64_t &inline_ns)
     // backpressure probe should make visible.
     XPG_TRACE_SCOPE(waitSpan, "log_full_wait", "ingest");
     enterBackpressure(node);
+    // tryReserve takes no lock, so another session on this node may
+    // claim the slots a drain frees before this one wakes. Return after
+    // any drain that ran for this request: appendFromClient retries and,
+    // if the log is full again, asks for another drain rather than
+    // sleeping on a log no one else may ever ask to drain. While a view
+    // pins the log only its closing frees space, so wait for that.
+    const uint64_t pass = archiverPasses_;
     spaceCv_.wait(lock, [&] {
-        return log.freeSlots() > 0 || archiverStop_;
+        return log.freeSlots() > 0 || archiverStop_ ||
+               (archiverPasses_ != pass && !viewsPinned_);
     });
     exitBackpressure(node);
-    XPG_ASSERT(log.freeSlots() > 0,
+    // Only a shutdown with the log still full strands the caller.
+    XPG_ASSERT(!archiverStop_ || log.freeSlots() > 0,
                "store shut down while a session was blocked on log space");
 }
 
@@ -1269,6 +1278,7 @@ XPGraph::archiverLoop()
                     runFlushAllLocked(/*release_buffers=*/false);
             }
         }
+        ++archiverPasses_;
         spaceCv_.notify_all();
     }
     spaceCv_.notify_all();
@@ -1945,22 +1955,6 @@ XPGraph::getNebrsBufOut(vid_t v, std::vector<vid_t> &out) const
 }
 
 uint32_t
-XPGraph::getNebrsBufIn(vid_t v, std::vector<vid_t> &out) const
-{
-    const Partition &part = parts_[inOwner(v)];
-    if (!part.in)
-        return 0;
-    const VertexState &st = part.in->states[inSlot(v)];
-    if (!st.buf)
-        return 0;
-    const auto *hdr = vbuf::header(st.buf);
-    chargeDramRandom(sizeof(vbuf::Header) + hdr->cnt * sizeof(vid_t));
-    const vid_t *pay = vbuf::payload(st.buf);
-    out.insert(out.end(), pay, pay + hdr->cnt);
-    return hdr->cnt;
-}
-
-uint32_t
 XPGraph::getNebrsFlushOut(vid_t v, std::vector<vid_t> &out) const
 {
     const Partition &part = parts_[outOwner(v)];
@@ -1969,16 +1963,6 @@ XPGraph::getNebrsFlushOut(vid_t v, std::vector<vid_t> &out) const
     XPG_ATTR_SCOPE(attrScope, QueryRead);
     return part.out->store->readRaw(part.out->states[outSlot(v)].chain,
                                     out);
-}
-
-uint32_t
-XPGraph::getNebrsFlushIn(vid_t v, std::vector<vid_t> &out) const
-{
-    const Partition &part = parts_[inOwner(v)];
-    if (!part.in)
-        return 0;
-    XPG_ATTR_SCOPE(attrScope, QueryRead);
-    return part.in->store->readRaw(part.in->states[inSlot(v)].chain, out);
 }
 
 LogWindowIndex &
@@ -2554,12 +2538,12 @@ XPGraph::stats() const
     IngestStats s;
     s.loggingNs = loggingNs_.load(std::memory_order_relaxed);
     s.loggingNsMax =
-        std::max(defaultSessionNs_.load(std::memory_order_relaxed),
+        std::max(bufferEdgesNs_.load(std::memory_order_relaxed),
                  sessionNsMax_.load(std::memory_order_relaxed));
     if (s.loggingNsMax == 0)
         s.loggingNsMax = s.loggingNs;
     s.clientNsMax =
-        std::max(defaultStreamNs_.load(std::memory_order_relaxed),
+        std::max(bufferEdgesStreamNs_.load(std::memory_order_relaxed),
                  streamNsMax_.load(std::memory_order_relaxed));
     s.bufferingNs = bufferingNs_.load(std::memory_order_relaxed);
     s.flushingNs = flushingNs_.load(std::memory_order_relaxed);

@@ -166,13 +166,11 @@ class XPGraph : public GraphStore
     bool hasFastDegrees() const override { return true; }
     uint64_t vertexWeight(vid_t v) const override;
 
-    /** Raw records currently in v's DRAM vertex buffer. */
+    /** Raw records currently in v's DRAM out-vertex buffer. */
     uint32_t getNebrsBufOut(vid_t v, std::vector<vid_t> &out) const;
-    uint32_t getNebrsBufIn(vid_t v, std::vector<vid_t> &out) const;
 
-    /** Raw records in v's PMEM adjacency chain. */
+    /** Raw records in v's PMEM out-adjacency chain. */
     uint32_t getNebrsFlushOut(vid_t v, std::vector<vid_t> &out) const;
-    uint32_t getNebrsFlushIn(vid_t v, std::vector<vid_t> &out) const;
 
     /** Out/in records of v among the non-buffered edges of the logs. */
     uint32_t getNebrsLogOut(vid_t v, std::vector<vid_t> &out) const;
@@ -380,7 +378,7 @@ class XPGraph : public GraphStore
     };
 
     /**
-     * The shared client append path (default session and IngestSessions):
+     * The shared client append path (bufferEdges() and IngestSessions):
      * reserve + write + publish on @p node's log, triggering/notifying
      * archiving at the thresholds and blocking only when the log is
      * full.
@@ -583,6 +581,7 @@ class XPGraph : public GraphStore
     std::condition_variable spaceCv_;   ///< wakes log-full sessions
     std::thread archiverThread_;
     bool archiverStop_ = false; ///< guarded by archiveMutex_
+    uint64_t archiverPasses_ = 0; ///< finished drains; archiveMutex_
     std::atomic<bool> archiveRequested_{false};
     std::atomic<bool> reclaimRequested_{false};
 
@@ -603,8 +602,8 @@ class XPGraph : public GraphStore
 
     // stats (relaxed atomics: sessions + archiver update concurrently)
     std::atomic<uint64_t> loggingNs_{0};     ///< sum over all streams
-    std::atomic<uint64_t> defaultSessionNs_{0}; ///< default shim: logging
-    std::atomic<uint64_t> defaultStreamNs_{0};  ///< + inline archiving
+    std::atomic<uint64_t> bufferEdgesNs_{0}; ///< bufferEdges(): logging
+    std::atomic<uint64_t> bufferEdgesStreamNs_{0}; ///< + inline archiving
     std::atomic<uint64_t> sessionNsMax_{0};  ///< slowest session: logging
     std::atomic<uint64_t> streamNsMax_{0};   ///< + inline archiving
     std::atomic<uint64_t> bufferingNs_{0};

@@ -1,8 +1,8 @@
 /**
  * @file
  * Concurrent ingestion equivalence: N client threads appending through
- * independent IngestSessions must produce exactly the graph a single
- * default-session client produces — across the flushed, buffered, and
+ * independent IngestSessions must produce exactly the graph one
+ * session produces — across the flushed, buffered, and
  * still-logged states, with tombstones, through crash recovery of a
  * partially drained concurrent log, and with the pipelined (background)
  * archiver. Also exercises the GraphOne baseline's shared-log sessions
@@ -285,31 +285,64 @@ TEST(IngestSession, DefaultMethodsForwardToBatch)
     EXPECT_EQ(nebrs, std::vector<vid_t>{3});
 }
 
-/** The deprecated addEdge/addEdges shims remain usable alongside
- *  (before/after, not during) session ingest; they route through a
- *  lazily opened internal session, which shows up in the stats. */
-TEST(IngestSession, DefaultShimCoexistsWithSessions)
+// --- log-space contention on one node ------------------------------------
+
+/**
+ * Regression: two sessions share one node's tiny log, so nearly every
+ * append finds it full. A session woken once space is reclaimed must
+ * not assume the slots are still free: tryReserve takes no lock, and
+ * the other session can claim them first. Its append then simply
+ * retries — no panic — and every edge still lands exactly once.
+ * Parameter: pipelinedArchiving.
+ */
+class LogSpaceContention : public ::testing::TestWithParam<bool>
 {
-    const vid_t nv = 64;
-    XPGraph graph(smallConfig(nv, 1000));
-    XPG_SUPPRESS_DEPRECATED_BEGIN
-    graph.addEdge(2, 5);
-    {
-        auto s = graph.session(1);
-        s->addEdge(2, 6);
-    }
-    graph.addEdge(2, 7);
-    XPG_SUPPRESS_DEPRECATED_END
+};
+
+TEST_P(LogSpaceContention, SessionsSharingANodeRetryInsteadOfPanicking)
+{
+    const vid_t nv = 512;
+    const auto edges = distinctEdges(nv, 24000, 41);
+    XPGraphConfig c = smallConfig(nv, edges.size());
+    c.elogCapacityEdges = 128;
+    c.bufferingThresholdEdges = 32;
+    c.archiveThreads = 2;
+    c.pipelinedArchiving = GetParam();
+    XPGraph graph(c);
+
+    const unsigned sessions = 2;
+    const uint64_t half = edges.size() / sessions;
+    std::vector<std::thread> clients;
+    for (unsigned t = 0; t < sessions; ++t)
+        clients.emplace_back([&, t] {
+            // Hints t * numNodes bind every session to node 0.
+            auto session = graph.session(t * c.numNodes);
+            ASSERT_EQ(session->node(), 0u);
+            const uint64_t lo = t * half;
+            const uint64_t hi = t + 1 == sessions ? edges.size() : lo + half;
+            // Batch sizes cycle past the log's capacity, so reservations
+            // are partial and the two sessions keep overtaking each other.
+            uint64_t batch = 1;
+            for (uint64_t off = lo; off < hi;) {
+                const uint64_t n = std::min<uint64_t>(batch, hi - off);
+                ASSERT_EQ(session->addEdges(edges.data() + off, n), n);
+                off += n;
+                batch = batch % 300 + 37;
+            }
+        });
+    for (std::thread &th : clients)
+        th.join();
+
     graph.archiveAll();
-    std::vector<vid_t> nebrs;
-    graph.getNebrsOut(2, nebrs);
-    std::sort(nebrs.begin(), nebrs.end());
-    EXPECT_EQ(nebrs, (std::vector<vid_t>{5, 6, 7}));
-    const IngestStats s = graph.stats();
-    EXPECT_EQ(s.edgesLogged, 3u);
-    // The shim's internal session plus the explicit one.
-    EXPECT_EQ(s.sessionsOpened, 2u);
+    EXPECT_EQ(graph.stats().edgesLogged, edges.size());
+    expectMatchesOut(graph, nv, replayOut(nv, edges));
 }
+
+INSTANTIATE_TEST_SUITE_P(ArchivingModes, LogSpaceContention,
+                         ::testing::Values(false, true),
+                         [](const auto &info) {
+                             return info.param ? "Pipelined" : "Inline";
+                         });
 
 // --- crash recovery of a partially drained concurrent log ------------------
 

@@ -148,7 +148,7 @@ class CrashSweepTest : public ::testing::Test
     void TearDown() override { std::filesystem::remove_all(dir_); }
 
     /** Deterministic engine: one archive thread, inline archiving,
-     *  single-threaded client (the default session). */
+     *  single-threaded client (one session). */
     XPGraphConfig
     xpgConfig(vid_t nv, uint64_t ne) const
     {

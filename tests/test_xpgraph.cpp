@@ -112,6 +112,17 @@ struct ConfigCase
     unsigned threads;
 };
 
+/**
+ * Print a case by its name. gtest's default byte dump would include the
+ * std::string's heap pointer, so the listed test IDs would change from
+ * one test discovery to the next.
+ */
+void
+PrintTo(const ConfigCase &cc, std::ostream *os)
+{
+    *os << cc.name;
+}
+
 class XPGraphConfigSweep : public ::testing::TestWithParam<ConfigCase>
 {
 };

@@ -724,15 +724,19 @@ cmdProfile(const Args &args)
     store->session(0)->addEdges(edges.data(), edges.size());
     store->archiveAll();
     if (queries > 0) {
-        // Materializing one-hops (the visitor engine would answer from
-        // the DRAM degree cache and leave no media trace) plus a BFS:
-        // enough adjacency reads for query_read to show in the table.
+        // A strided sweep visiting each source's out-neighbors (the
+        // one-hop kernel answers from the DRAM degree cache and leaves
+        // no media trace) plus a BFS: enough adjacency reads for
+        // query_read to show in the table.
         Rng rng(1);
         std::vector<vid_t> sources;
         for (uint64_t i = 0; i < queries; ++i)
             sources.push_back(edges[rng.nextBounded(edges.size())].src);
-        runOneHop(*store, sources, threads, QueryBinding::Auto,
-                  QueryEngine::Vector);
+        QueryDriver driver(*store, threads, QueryBinding::Auto,
+                           SchedulePolicy::Strided);
+        driver.forEach(sources, [&](vid_t v, unsigned) {
+            store->forEachNebrOut(v, [](vid_t) {});
+        });
         runBfs(*store, edges[0].src, threads);
     }
 
