@@ -147,6 +147,21 @@ export XPG_BENCH_INGEST_JSON="${XPG_BENCH_INGEST_JSON:-${repo_root}/BENCH_ingest
 export XPG_BENCH_RECOVERY_JSON="${XPG_BENCH_RECOVERY_JSON:-${repo_root}/BENCH_recovery.json}"
 "${build_dir}/bench/fig_recovery" "${datasets[0]}"
 
+# Recovery regression gate: per (archiving, log depth) row, the total
+# and the log-replay phase may not regress more than 25% against the
+# committed BENCH_recovery.json. Five reruns on a 4-vCPU host spread at
+# most 8.2% in recovery_ns (the parallel chain rebuild varies with thread
+# interleaving; replay_ns was identical in all five), so 25% is about
+# 3x the noise. rebuild_ns alone spread 14% and is not gated.
+if baseline_recovery="$(git -C "${repo_root}" show HEAD:BENCH_recovery.json \
+                            2>/dev/null)"; then
+    "${repo_root}/tools/bench_diff" --threshold 25 \
+        --metrics '^(recovery|replay)_ns$' \
+        <(printf '%s' "${baseline_recovery}") "${XPG_BENCH_RECOVERY_JSON}"
+else
+    echo "bench_diff: no committed BENCH_recovery.json baseline; skipping"
+fi
+
 export XPG_BENCH_TRAFFIC_JSON="${XPG_BENCH_TRAFFIC_JSON:-${repo_root}/BENCH_traffic.json}"
 "${build_dir}/bench/fig13_pmem_traffic" "${datasets[@]}"
 

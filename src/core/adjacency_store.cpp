@@ -16,6 +16,10 @@ namespace {
 
 /** Largest capacity a single block may grow to (records). */
 constexpr uint32_t kMaxBlockRecords = 16384;
+// Rounded up to whole XPLines, a raw block's capacity must still fit the
+// commit word's count and pre fields.
+static_assert(kMaxBlockRecords + kXPLineSize / sizeof(vid_t) <
+              (1u << AdjacencyStore::BlockHeader::kCountBits));
 
 /** Scratch assembly buffer for freshly written blocks. */
 thread_local std::vector<std::byte> t_blockScratch;
@@ -26,11 +30,22 @@ thread_local std::vector<vid_t> t_sortScratch;
 /** Scratch for the encoded payload of a run being compressed. */
 thread_local std::vector<std::byte> t_encodeScratch;
 
-/** Pack a commit word: live count plus checksum over those records. */
+using BlockHeader = AdjacencyStore::BlockHeader;
+
+/** Pack a compressed chunk's commit word: count plus checksum. */
 inline uint64_t
 packCommit(uint32_t count, uint32_t sum)
 {
     return uint64_t{count} | (uint64_t{sum} << 32);
+}
+
+/** A compressed chunk's commit checksum: the payload's, mixed with the
+ *  stamp word so a chunk whose stamp never landed fails validation. */
+inline uint32_t
+chunkSum(uint32_t payload_sum, uint64_t stamp)
+{
+    return payload_sum +
+           static_cast<uint32_t>((stamp * 0x9e3779b97f4a7c15ull) >> 32);
 }
 
 /** Additive position-mixed checksum over records [from, to). */
@@ -106,11 +121,18 @@ AdjacencyStore::indexEntryOff(uint64_t slot) const
 }
 
 void
-AdjacencyStore::persistIndex(uint64_t slot, const VertexChain &chain)
+AdjacencyStore::persistIndex(uint64_t slot, uint64_t head, uint64_t stamp)
 {
     XPG_ATTR_SCOPE(attrScope, VertexMeta);
-    dev_->writePod<IndexEntry>(indexEntryOff(slot),
-                               IndexEntry{chain.head, chain.tail});
+    dev_->writePod<IndexEntry>(indexEntryOff(slot), IndexEntry{head, stamp});
+}
+
+void
+AdjacencyStore::restoreIndexEntry(uint64_t slot, uint64_t head,
+                                  uint64_t stamp)
+{
+    persistIndex(slot, head, stamp);
+    dev_->persist(indexEntryOff(slot), sizeof(IndexEntry));
 }
 
 uint32_t
@@ -122,9 +144,10 @@ AdjacencyStore::newBlockCapacity(uint32_t pending, uint32_t stored) const
     // blocks (Table III shows only ~1.2x space overhead over CSR, so
     // there is no big per-vertex floor); blocks of at least one XPLine
     // are rounded to whole XPLines for line-aligned streaming.
+    // The cap also bounds the 15-bit count field of the commit word.
     const uint32_t min_records = 12; // three 64 B units of records
     uint32_t target = std::max(pending, std::min(stored, kMaxBlockRecords));
-    target = std::max(target, min_records);
+    target = std::clamp(target, min_records, kMaxBlockRecords);
     const uint64_t bytes = blockBytes(target);
     return static_cast<uint32_t>((bytes - sizeof(BlockHeader)) /
                                  sizeof(vid_t));
@@ -132,7 +155,7 @@ AdjacencyStore::newBlockCapacity(uint32_t pending, uint32_t stored) const
 
 uint64_t
 AdjacencyStore::writeBlock(const vid_t *nebrs, uint32_t n,
-                           uint32_t capacity,
+                           uint32_t capacity, uint32_t pre, uint16_t epoch,
                            telemetry::AccessCategory cat)
 {
     XPG_ATTR_SCOPE_DYN(attrScope, cat);
@@ -148,10 +171,12 @@ AdjacencyStore::writeBlock(const vid_t *nebrs, uint32_t n,
     hdr->magic = kBlockMagic;
     hdr->capacity = capacity;
     hdr->next = kNullOffset;
-    hdr->commit[0] = packCommit(n, sumRecords(nebrs, 0, n, 0));
+    hdr->commit[0] =
+        BlockHeader::packRaw(n, pre, epoch, sumRecords(nebrs, 0, n, 0));
     hdr->commit[1] = 0;
-    std::memcpy(t_blockScratch.data() + sizeof(BlockHeader), nebrs,
-                n * sizeof(vid_t));
+    if (n > 0) // an empty survivor list may come with a null pointer
+        std::memcpy(t_blockScratch.data() + sizeof(BlockHeader), nebrs,
+                    n * sizeof(vid_t));
     dev_->write(off, t_blockScratch.data(), init_bytes);
     if (proactiveFlush_ && init_bytes >= kXPLineSize)
         dev_->persist(off, init_bytes);
@@ -174,7 +199,8 @@ AdjacencyStore::shouldCompress(const vid_t *nebrs, uint32_t n,
 
 uint64_t
 AdjacencyStore::writeCompressedBlock(const vid_t *nebrs, uint32_t n,
-                                     uint32_t &payload_bytes,
+                                     uint32_t &payload_bytes, uint32_t pre,
+                                     uint16_t epoch,
                                      telemetry::AccessCategory cat)
 {
     // Sort a copy (the caller's run is a vertex-buffer payload or the
@@ -203,10 +229,11 @@ AdjacencyStore::writeCompressedBlock(const vid_t *nebrs, uint32_t n,
     hdr->magic = kCompressedMagic;
     hdr->capacity = payload_bytes;
     hdr->next = kNullOffset;
+    hdr->commit[1] = stampWord(WindowStamp{pre, epoch});
     hdr->commit[0] = packCommit(
-        n, adjcodec::payloadChecksum(t_encodeScratch.data(),
-                                     payload_bytes));
-    hdr->commit[1] = 0;
+        n, chunkSum(adjcodec::payloadChecksum(t_encodeScratch.data(),
+                                              payload_bytes),
+                    hdr->commit[1]));
     std::memcpy(t_blockScratch.data() + sizeof(BlockHeader),
                 t_encodeScratch.data(), payload_bytes);
     // The block write stays caller-attributed (AdjacencyArchive for
@@ -244,12 +271,12 @@ AdjacencyStore::linkNewBlock(uint64_t slot, uint64_t off,
     // per vertex); the tail is recovered by walking the chain, so
     // growing a chain costs no random index write.
     if (first_block)
-        persistIndex(slot, chain);
+        persistIndex(slot, chain.head, 0);
 }
 
 void
 AdjacencyStore::append(uint64_t slot, const vid_t *nebrs, uint32_t n,
-                       VertexChain &chain)
+                       VertexChain &chain, uint16_t epoch)
 {
     XPG_ATTR_SCOPE(attrScope, AdjacencyArchive);
     uint32_t remaining = n;
@@ -270,9 +297,15 @@ AdjacencyStore::append(uint64_t slot, const vid_t *nebrs, uint32_t n,
         // *not* holding the previous commit: if this commit reaches the
         // media but part of the payload does not, recovery falls back to
         // the other slot's intact commit.
+        // The first fill of a window stamps the records already in
+        // the block as predating it.
         uint32_t sum = chain.tailSum;
         for (uint32_t i = 0; i < take; ++i)
             sum += recordSum32(cursor[i], chain.tailCount + i);
+        if (chain.tailEpoch != epoch) {
+            chain.tailPre = static_cast<uint16_t>(chain.tailCount);
+            chain.tailEpoch = epoch;
+        }
         chain.tailCount += take;
         chain.tailSum = sum;
         chain.tailCommitSlot ^= 1;
@@ -280,7 +313,8 @@ AdjacencyStore::append(uint64_t slot, const vid_t *nebrs, uint32_t n,
         dev_->writePod<uint64_t>(
             chain.tail + offsetof(BlockHeader, commit) +
                 uint64_t{chain.tailCommitSlot} * sizeof(uint64_t),
-            packCommit(chain.tailCount, sum));
+            BlockHeader::packRaw(chain.tailCount, chain.tailPre, epoch,
+                                 sum));
         if (proactiveFlush_ && take * sizeof(vid_t) >= kXPLineSize)
             dev_->persist(data_off, take * sizeof(vid_t));
         cursor += take;
@@ -291,14 +325,16 @@ AdjacencyStore::append(uint64_t slot, const vid_t *nebrs, uint32_t n,
         // Hub run without tombstones: the whole remainder becomes one
         // sealed compressed chunk.
         uint32_t payload_bytes = 0;
-        const uint64_t off =
-            writeCompressedBlock(cursor, remaining, payload_bytes);
+        const uint64_t off = writeCompressedBlock(cursor, remaining,
+                                                  payload_bytes, 0, epoch);
         linkNewBlock(slot, off, chain);
         chain.tailCount = remaining;
         chain.tailCapacity = remaining; // sealed: no tail-fill slack
         chain.tailSum = adjcodec::payloadChecksum(t_encodeScratch.data(),
                                                   payload_bytes);
         chain.tailCommitSlot = 0;
+        chain.tailPre = 0;
+        chain.tailEpoch = epoch;
         chain.records += remaining;
         return;
     }
@@ -307,13 +343,15 @@ AdjacencyStore::append(uint64_t slot, const vid_t *nebrs, uint32_t n,
         const uint32_t capacity =
             newBlockCapacity(remaining, chain.records);
         const uint32_t take = std::min(remaining, capacity);
-        const uint64_t off = writeBlock(cursor, take, capacity);
+        const uint64_t off = writeBlock(cursor, take, capacity, 0, epoch);
 
         linkNewBlock(slot, off, chain);
         chain.tailCount = take;
         chain.tailCapacity = capacity;
         chain.tailSum = sumRecords(cursor, 0, take, 0);
         chain.tailCommitSlot = 0;
+        chain.tailPre = 0;
+        chain.tailEpoch = epoch;
         chain.records += take;
 
         cursor += take;
@@ -347,41 +385,10 @@ AdjacencyStore::readRaw(const VertexChain &chain,
     return total;
 }
 
-bool
-AdjacencyStore::contains(const VertexChain &chain, vid_t nebr) const
-{
-    thread_local std::vector<vid_t> scratch;
-    uint64_t off = chain.head;
-    while (off != kNullOffset) {
-        const auto hdr = dev_->readPod<BlockHeader>(off);
-        if (hdr.compressed()) {
-            bool found = false;
-            visitCompressed(off, hdr, [&](vid_t v) {
-                if (v == nebr)
-                    found = true;
-            });
-            if (found)
-                return true;
-        } else {
-            const uint32_t count = hdr.liveCount();
-            scratch.resize(count);
-            if (count > 0) {
-                dev_->read(off + sizeof(BlockHeader), scratch.data(),
-                           uint64_t{count} * sizeof(vid_t));
-                for (vid_t v : scratch)
-                    if (v == nebr)
-                        return true;
-            }
-        }
-        off = hdr.next;
-    }
-    return false;
-}
-
 CompactResult
 AdjacencyStore::compact(uint64_t slot, VertexChain &chain,
                         const CompactHooks *hooks,
-                        telemetry::AccessCategory cat)
+                        telemetry::AccessCategory cat, WindowStamp stamp)
 {
     CompactResult res;
     if (chain.empty())
@@ -413,46 +420,70 @@ AdjacencyStore::compact(uint64_t slot, VertexChain &chain,
     const uint32_t n = static_cast<uint32_t>(live.size());
     res.recordsAfter = n;
     const uint64_t old_head = chain.head;
-    uint64_t off;
-    uint64_t durable_bytes;
-    uint32_t tail_capacity;
-    uint32_t tail_sum;
+    // Every survivor is stamped as predating the window: the index
+    // entry carries the window watermark forward instead.
+    //
+    // Durability fence: compaction swings the index head away from a
+    // chain whose edges may be flushed (no longer replayable from the
+    // log), so the new chain must be fully durable *before* the entry
+    // can point at it — otherwise a crash between the two writes loses
+    // the old (still durable) chain and the new one together. Each new
+    // block is persisted as it is written.
+    VertexChain fresh;
     // The survivor list is insert-only, so an eligible hub compacts into
     // one compressed chunk — the big read-amplification win for query
     // scans over compacted hubs.
     if (policy_.enabled && n >= 2 && n >= policy_.minDegree) {
         uint32_t payload_bytes = 0;
-        off = writeCompressedBlock(live.data(), n, payload_bytes, cat);
-        durable_bytes = sizeof(BlockHeader) + payload_bytes;
-        tail_capacity = n; // sealed
-        tail_sum = adjcodec::payloadChecksum(t_encodeScratch.data(),
-                                             payload_bytes);
+        const uint64_t off = writeCompressedBlock(
+            live.data(), n, payload_bytes, n, stamp.epoch, cat);
+        dev_->persist(off, sizeof(BlockHeader) + payload_bytes);
+        fresh.head = fresh.tail = off;
+        fresh.tailCount = n;
+        fresh.tailCapacity = n; // sealed
+        fresh.tailSum = adjcodec::payloadChecksum(t_encodeScratch.data(),
+                                                  payload_bytes);
     } else {
-        const uint32_t capacity = newBlockCapacity(n ? n : 1, 0);
-        off = writeBlock(live.data(), n, capacity, cat);
-        durable_bytes = sizeof(BlockHeader) + uint64_t{n} * sizeof(vid_t);
-        tail_capacity = capacity;
-        tail_sum = sumRecords(live.data(), 0, n, 0);
+        // Raw survivors fill blocks of at most one block's capacity.
+        uint32_t done = 0;
+        do {
+            const uint32_t capacity = newBlockCapacity(
+                std::max<uint32_t>(n - done, 1), 0);
+            const uint32_t take = std::min(n - done, capacity);
+            const uint64_t off = writeBlock(live.data() + done, take,
+                                            capacity, take, stamp.epoch,
+                                            cat);
+            dev_->persist(off, sizeof(BlockHeader) +
+                                   uint64_t{take} * sizeof(vid_t));
+            if (fresh.empty()) {
+                fresh.head = off;
+            } else {
+                dev_->writePod<uint64_t>(
+                    fresh.tail + offsetof(BlockHeader, next), off);
+                dev_->persist(fresh.tail + offsetof(BlockHeader, next),
+                              sizeof(uint64_t));
+            }
+            fresh.tail = off;
+            fresh.tailCount = take;
+            fresh.tailCapacity = capacity;
+            fresh.tailSum = sumRecords(live.data() + done, 0, take, 0);
+            fresh.tailPre = static_cast<uint16_t>(take);
+            done += take;
+        } while (done < n);
     }
-    // Durability fence: compaction swings the index head away from a
-    // chain whose edges may be flushed (no longer replayable from the
-    // log), so the new block must be fully durable *before* the entry
-    // can point at it — otherwise a crash between the two writes loses
-    // the old (still durable) chain and the new one together.
-    dev_->persist(off, durable_bytes);
+    fresh.tailEpoch = stamp.epoch;
+    fresh.records = n;
+    const uint64_t new_stamp = stampWord(stamp);
     // The journal arms here: new chain durable, old chain still
     // authoritative. A crash between preCommit and postCommit is the
     // torn window recovery resolves from the journal entry.
-    if (hooks && hooks->preCommit)
-        hooks->preCommit(slot, old_head, off);
-    chain.head = off;
-    chain.tail = off;
-    chain.tailCount = n;
-    chain.tailCapacity = tail_capacity;
-    chain.tailSum = tail_sum;
-    chain.tailCommitSlot = 0;
-    chain.records = n;
-    persistIndex(slot, chain);
+    if (hooks && hooks->preCommit) {
+        const auto old_entry = dev_->readPod<IndexEntry>(indexEntryOff(slot));
+        hooks->preCommit(slot, old_head, fresh.head, old_entry.stamp,
+                         new_stamp);
+    }
+    chain = fresh;
+    persistIndex(slot, chain.head, new_stamp);
     dev_->persist(indexEntryOff(slot), sizeof(IndexEntry));
     if (hooks && hooks->postCommit)
         hooks->postCommit(slot);
@@ -507,14 +538,18 @@ AdjacencyStore::loadChain(uint64_t slot) const
                 chain.tailCommitSlot = 0;
                 chain.tailSum =
                     static_cast<uint32_t>(hdr.commit[0] >> 32);
+                chain.tailEpoch = stampOf(hdr.commit[1]).epoch;
             } else {
                 chain.tailCapacity = hdr.capacity;
                 const uint8_t tail_slot =
-                    static_cast<uint32_t>(hdr.commit[1]) >
-                    static_cast<uint32_t>(hdr.commit[0]) ? 1 : 0;
+                    BlockHeader::rawCount(hdr.commit[1]) >
+                    BlockHeader::rawCount(hdr.commit[0]) ? 1 : 0;
+                const uint64_t word = hdr.commit[tail_slot];
                 chain.tailCommitSlot = tail_slot;
-                chain.tailSum =
-                    static_cast<uint32_t>(hdr.commit[tail_slot] >> 32);
+                chain.tailSum = BlockHeader::rawSum(word);
+                chain.tailPre =
+                    static_cast<uint16_t>(BlockHeader::rawPre(word));
+                chain.tailEpoch = BlockHeader::rawEpoch(word);
             }
         }
         off = hdr.next;
@@ -526,8 +561,7 @@ AdjacencyStore::loadChain(uint64_t slot) const
 
 bool
 AdjacencyStore::validateBlock(uint64_t off, BlockHeader &hdr,
-                              uint32_t &count, uint32_t &sum,
-                              uint8_t &slot, ChainScan &scan) const
+                              Commit &commit, ChainScan &scan) const
 {
     const uint64_t region_start = alloc_->regionStart();
     const uint64_t region_end = alloc_->regionEnd();
@@ -547,11 +581,13 @@ AdjacencyStore::validateBlock(uint64_t off, BlockHeader &hdr,
 
     if (hdr.compressed()) {
         // A compressed chunk is sealed with a single commit whose
-        // checksum covers the encoded payload; a valid non-empty commit
-        // must also decode cleanly to exactly its count. A torn chunk
-        // (commit durable, payload not — or vice versa) fails both and
-        // falls back to the vacuous zero commit, i.e. the chunk holds
-        // nothing durable, exactly like a torn fresh raw block.
+        // checksum covers the encoded payload and the stamp word; a
+        // valid commit must also decode cleanly to exactly its count.
+        // A torn chunk (commit durable, payload or stamp not — or vice
+        // versa) holds nothing durable and is unlinked like a garbage
+        // block: left in place, a later append would chain a block
+        // after an empty sealed chunk, which recovery could no longer
+        // tell from a hole. Its declared records count as truncated.
         thread_local std::vector<std::byte> payload;
         payload.resize(hdr.capacity);
         {
@@ -559,52 +595,34 @@ AdjacencyStore::validateBlock(uint64_t off, BlockHeader &hdr,
             dev_->read(off + sizeof(BlockHeader), payload.data(),
                        hdr.capacity);
         }
-        const uint32_t declared = std::min(
-            std::max(static_cast<uint32_t>(hdr.commit[0]),
-                     static_cast<uint32_t>(hdr.commit[1])),
-            hdr.capacity);
-        bool adopted = false;
-        for (int s = 0; s < 2; ++s) {
-            const uint32_t c = static_cast<uint32_t>(hdr.commit[s]);
-            const uint32_t want =
-                static_cast<uint32_t>(hdr.commit[s] >> 32);
-            if (c == 0 && want == 0) {
-                if (!adopted) {
-                    count = 0;
-                    sum = 0;
-                    slot = static_cast<uint8_t>(s);
-                    adopted = true;
-                }
-                continue;
-            }
-            if (c > hdr.capacity) // >= 1 payload byte per record
-                continue;
-            if (adjcodec::payloadChecksum(payload.data(), hdr.capacity) !=
-                want)
-                continue;
-            uint32_t decoded = 0;
-            if (!adjcodec::decodeRun(payload.data(), hdr.capacity,
-                                     [&](vid_t) { ++decoded; }) ||
-                decoded != c)
-                continue;
-            if (!adopted || c > count) {
-                count = c;
-                sum = want;
-                slot = static_cast<uint8_t>(s);
-                adopted = true;
-            }
+        const uint32_t c = static_cast<uint32_t>(hdr.commit[0]);
+        const uint32_t want = static_cast<uint32_t>(hdr.commit[0] >> 32);
+        uint32_t decoded = 0;
+        if (c == 0 || c > hdr.capacity || // >= 1 payload byte per record
+            chunkSum(adjcodec::payloadChecksum(payload.data(),
+                                               hdr.capacity),
+                     hdr.commit[1]) != want ||
+            !adjcodec::decodeRun(payload.data(), hdr.capacity,
+                                 [&](vid_t) { ++decoded; }) ||
+            decoded != c) {
+            scan.recordsTruncated += std::min(c, hdr.capacity);
+            return false;
         }
-        if (adopted && count < declared)
-            scan.recordsTruncated += declared - count;
-        return adopted;
+        commit = Commit{};
+        commit.count = c;
+        commit.sum = want;
+        const WindowStamp stamp = stampOf(hdr.commit[1]);
+        commit.pre = stamp.records;
+        commit.epoch = stamp.epoch;
+        return true;
     }
 
     // Adopt the commit word with the largest verifying count; a torn
     // payload under the newer commit falls back to the older one. A
     // commit whose count exceeds the capacity is garbage by definition.
     thread_local std::vector<vid_t> scratch;
-    const uint32_t count_a = static_cast<uint32_t>(hdr.commit[0]);
-    const uint32_t count_b = static_cast<uint32_t>(hdr.commit[1]);
+    const uint32_t count_a = BlockHeader::rawCount(hdr.commit[0]);
+    const uint32_t count_b = BlockHeader::rawCount(hdr.commit[1]);
     const uint32_t read_count =
         std::min(std::max(count_a, count_b), hdr.capacity);
     scratch.resize(read_count);
@@ -613,37 +631,52 @@ AdjacencyStore::validateBlock(uint64_t off, BlockHeader &hdr,
                    uint64_t{read_count} * sizeof(vid_t));
     bool adopted = false;
     for (int s = 0; s < 2; ++s) {
-        const uint32_t c = static_cast<uint32_t>(hdr.commit[s]);
-        const uint32_t want = static_cast<uint32_t>(hdr.commit[s] >> 32);
+        const uint64_t word = hdr.commit[s];
+        const uint32_t c = BlockHeader::rawCount(word);
+        const uint32_t want = BlockHeader::rawSum(word);
         if (c > hdr.capacity)
             continue;
-        if (sumRecords(scratch.data(), 0, c, 0) != want)
+        if ((sumRecords(scratch.data(), 0, c, 0) &
+             BlockHeader::kSumMask) != want)
             continue;
-        if (!adopted || c > count) {
-            count = c;
-            sum = want;
-            slot = static_cast<uint8_t>(s);
+        if (!adopted || c > commit.count) {
+            commit.count = c;
+            commit.sum = want;
+            commit.slot = static_cast<uint8_t>(s);
+            commit.pre = BlockHeader::rawPre(word);
+            commit.epoch = BlockHeader::rawEpoch(word);
             adopted = true;
         }
     }
-    if (adopted && count < read_count)
-        scan.recordsTruncated += read_count - count;
+    if (adopted && commit.count < read_count)
+        scan.recordsTruncated += read_count - commit.count;
     return adopted;
 }
 
 VertexChain
-AdjacencyStore::loadChainValidated(uint64_t slot, ChainScan &scan)
+AdjacencyStore::loadChainValidated(uint64_t slot, ChainScan &scan,
+                                   uint16_t epoch,
+                                   uint32_t *window_records)
 {
     const auto entry = dev_->readPod<IndexEntry>(indexEntryOff(slot));
     VertexChain chain;
+    // Window records the chain holds: those a compaction folded into
+    // it (the index stamp) plus, per block, the records its adopted
+    // commit wrote in this window.
+    const WindowStamp carried = stampOf(entry.stamp);
+    uint32_t window = carried.epoch == epoch ? carried.records : 0;
+    const auto cut_after = [&](uint64_t prev) {
+        dev_->writePod<uint64_t>(prev + offsetof(BlockHeader, next),
+                                 kNullOffset);
+        dev_->persist(prev + offsetof(BlockHeader, next),
+                      sizeof(uint64_t));
+    };
     uint64_t off = entry.head;
     uint64_t prev = kNullOffset;
     while (off != kNullOffset) {
         BlockHeader hdr{};
-        uint32_t count = 0;
-        uint32_t sum = 0;
-        uint8_t commit_slot = 0;
-        if (!validateBlock(off, hdr, count, sum, commit_slot, scan)) {
+        Commit commit;
+        if (!validateBlock(off, hdr, commit, scan)) {
             // Truncate to the last consistent prefix and repair the
             // dangling pointer on the device, so the garbage block can
             // never be resurrected (or cross-linked once the allocator
@@ -653,34 +686,62 @@ AdjacencyStore::loadChainValidated(uint64_t slot, ChainScan &scan)
                 if (entry.head != kNullOffset)
                     ++scan.invalidIndexEntries;
                 chain = VertexChain{};
-                dev_->writePod<IndexEntry>(
-                    indexEntryOff(slot),
-                    IndexEntry{kNullOffset, kNullOffset});
+                window = 0;
+                dev_->writePod<IndexEntry>(indexEntryOff(slot),
+                                           IndexEntry{kNullOffset, 0});
                 dev_->persist(indexEntryOff(slot), sizeof(IndexEntry));
             } else {
-                dev_->writePod<uint64_t>(
-                    prev + offsetof(BlockHeader, next), kNullOffset);
-                dev_->persist(prev + offsetof(BlockHeader, next),
-                              sizeof(uint64_t));
+                cut_after(prev);
             }
             break;
         }
         if (chain.head == kNullOffset)
             chain.head = off;
-        chain.records += count;
+        chain.records += commit.count;
+        if (commit.epoch == epoch && commit.count > commit.pre)
+            window += commit.count - commit.pre;
         const uint64_t footprint = footprintOf(hdr);
         scan.referencedBytes += footprint;
         scan.maxReferencedEnd =
             std::max(scan.maxReferencedEnd, off + footprint);
         chain.tail = off;
-        chain.tailCount = count;
+        chain.tailCount = commit.count;
         // A surviving compressed chunk is sealed: report it full so the
         // raw tail-fill path can never write into its payload.
-        chain.tailCapacity = hdr.compressed() ? count : hdr.capacity;
-        chain.tailSum = sum;
-        chain.tailCommitSlot = commit_slot;
+        chain.tailCapacity =
+            hdr.compressed() ? commit.count : hdr.capacity;
+        chain.tailSum = commit.sum;
+        chain.tailCommitSlot = commit.slot;
+        chain.tailPre = hdr.compressed()
+                            ? uint16_t{0}
+                            : static_cast<uint16_t>(commit.pre);
+        chain.tailEpoch = commit.epoch;
         prev = off;
         off = hdr.next;
+        // append() links a block only once its predecessor is full, so
+        // a short raw block with a successor means part of a flush never
+        // became durable: everything after it would leave a hole in the
+        // appended sequence. Cut the chain here; the cut records are
+        // replay-window records.
+        if (off != kNullOffset && !hdr.compressed() &&
+            commit.count < hdr.capacity) {
+            scan.blocksDropped += countChainBlocks(off);
+            cut_after(prev);
+            break;
+        }
+    }
+    if (window_records) {
+        *window_records = window;
+        // The DRAM stamp describes the *next* commit into the tail: a
+        // tail whose adopted commit predates this window holds only
+        // earlier records (a torn fresh block adopts the vacuous word).
+        // A full or sealed tail takes no more records; its pre is moot.
+        if (!chain.empty() && chain.tailEpoch != epoch) {
+            chain.tailPre = chain.tailCapacity == chain.tailCount
+                                ? uint16_t{0}
+                                : static_cast<uint16_t>(chain.tailCount);
+            chain.tailEpoch = epoch;
+        }
     }
     return chain;
 }

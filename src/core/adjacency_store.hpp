@@ -20,6 +20,12 @@
  *    recovery exactly like a torn raw block.
  * The format choice is degree-aware (CompressionPolicy): hub runs are
  * compressed, low-degree vertices stay raw.
+ *
+ * Every commit also carries a *window stamp* (DESIGN.md §8): the epoch
+ * of the log replay window it was written in and how many of the
+ * block's records predate that window. Summed over a chain, the stamps
+ * say how many of the vertex's replay-window records are already
+ * durable, so recovery skips them by position, not by content.
  */
 
 #ifndef XPG_CORE_ADJACENCY_STORE_HPP
@@ -48,8 +54,22 @@ struct VertexChain
     uint32_t records = 0;         ///< records across the whole chain
     uint32_t tailSum = 0;         ///< running record checksum of the tail
     uint8_t tailCommitSlot = 0;   ///< commit word holding the tail commit
+    uint16_t tailPre = 0;   ///< tail stamp: records before its window (raw)
+    uint16_t tailEpoch = 0; ///< tail stamp: window epoch tag
 
     bool empty() const { return head == kNullOffset; }
+};
+
+static_assert(sizeof(VertexChain) == 40, "VertexChain stays in its padding");
+
+/**
+ * A vertex side's replay-window watermark: @p records of its records in
+ * the log replay window of epoch tag @p epoch are durable in its chain.
+ */
+struct WindowStamp
+{
+    uint32_t records = 0;
+    uint16_t epoch = 0;
 };
 
 /** What a validated chain scan found and repaired (recovery report). */
@@ -90,8 +110,10 @@ struct CompressionPolicy
  */
 struct CompactHooks
 {
-    std::function<void(uint64_t slot, uint64_t old_head,
-                       uint64_t new_head)>
+    /** @p old_stamp / @p new_stamp are the index entry's window stamp
+     *  word before and after the swing. */
+    std::function<void(uint64_t slot, uint64_t old_head, uint64_t new_head,
+                       uint64_t old_stamp, uint64_t new_stamp)>
         preCommit;
     std::function<void(uint64_t slot)> postCommit;
 };
@@ -116,15 +138,18 @@ class AdjacencyStore
     /**
      * On-device block header. A block is self-validating: the live
      * record count is not a bare integer but a *commit word* packing
-     * count (low 32) and a position-mixed checksum (high 32) — written
-     * as a single 8-byte store, which PMEM's failure atomicity makes
-     * untearable. Raw blocks alternate two commit words so an in-place
-     * tail append that crashes mid-way (payload partially durable, new
-     * commit durable) falls back to the previous commit instead of
-     * invalidating records committed long ago; recovery adopts the
-     * commit with the largest verifying count. Compressed chunks are
-     * sealed at write time: only commit[0] is ever set, and its checksum
-     * covers the encoded payload bytes rather than 4-byte records.
+     * the count, the window stamp and a position-mixed checksum —
+     * written as a single 8-byte store, which PMEM's failure atomicity
+     * makes untearable. Raw blocks alternate two commit words so an
+     * in-place tail append that crashes mid-way (payload partially
+     * durable, new commit durable) falls back to the previous commit
+     * instead of invalidating records committed long ago; recovery
+     * adopts the commit with the largest verifying count. A raw commit
+     * word is count (15 bits) | pre (15) | epoch tag (14) | checksum
+     * (20), low to high. Compressed chunks are sealed at write time:
+     * commit[0] is count (low 32) | checksum (high 32) over the encoded
+     * payload and the stamp, and commit[1] holds the stamp itself
+     * (stampWord of {pre, epoch tag}).
      *
      * `capacity` is format-dependent: record capacity for raw blocks,
      * exact payload *byte* length for compressed chunks (sealed blocks
@@ -136,20 +161,69 @@ class AdjacencyStore
         uint32_t magic;     ///< kBlockMagic or kCompressedMagic
         uint32_t capacity;  ///< records (raw) / payload bytes (compressed)
         uint64_t next;      ///< next block offset or kNullOffset
-        uint64_t commit[2]; ///< alternating {count | sum32 << 32} words
+        uint64_t commit[2]; ///< raw: alternating commits; see above
+
+        static constexpr unsigned kCountBits = 15;
+        static constexpr unsigned kPreBits = 15;
+        static constexpr unsigned kEpochBits = 14;
+        static constexpr unsigned kSumBits = 20;
+        static constexpr uint32_t kSumMask = (1u << kSumBits) - 1;
+        static_assert(kCountBits + kPreBits + kEpochBits + kSumBits == 64);
+
+        static uint64_t
+        packRaw(uint32_t count, uint32_t pre, uint32_t epoch, uint32_t sum)
+        {
+            return uint64_t{count} | (uint64_t{pre} << kCountBits) |
+                   (uint64_t{epoch} << (kCountBits + kPreBits)) |
+                   (uint64_t{sum & kSumMask}
+                    << (kCountBits + kPreBits + kEpochBits));
+        }
+        static uint32_t
+        rawCount(uint64_t w)
+        {
+            return static_cast<uint32_t>(w & ((1u << kCountBits) - 1));
+        }
+        static uint32_t
+        rawPre(uint64_t w)
+        {
+            return static_cast<uint32_t>((w >> kCountBits) &
+                                         ((1u << kPreBits) - 1));
+        }
+        static uint16_t
+        rawEpoch(uint64_t w)
+        {
+            return static_cast<uint16_t>((w >> (kCountBits + kPreBits)) &
+                                         ((1u << kEpochBits) - 1));
+        }
+        static uint32_t
+        rawSum(uint64_t w)
+        {
+            return static_cast<uint32_t>(
+                w >> (kCountBits + kPreBits + kEpochBits));
+        }
 
         /** Runtime record count (coherent backing: larger commit wins). */
         uint32_t
         liveCount() const
         {
-            const uint32_t a = static_cast<uint32_t>(commit[0]);
-            const uint32_t b = static_cast<uint32_t>(commit[1]);
+            if (compressed())
+                return static_cast<uint32_t>(commit[0]);
+            const uint32_t a = rawCount(commit[0]);
+            const uint32_t b = rawCount(commit[1]);
             return a > b ? a : b;
         }
 
         bool compressed() const { return magic == kCompressedMagic; }
     };
     static_assert(sizeof(BlockHeader) == 32);
+
+    /** Window epoch tag (the low kEpochBits of the epoch). */
+    static uint16_t
+    epochTag(uint64_t epoch)
+    {
+        return static_cast<uint16_t>(
+            epoch & ((1u << BlockHeader::kEpochBits) - 1));
+    }
 
     static constexpr uint32_t kBlockMagic = 0x42415058u;      // "XPAB"
     static constexpr uint32_t kCompressedMagic = 0x43415058u; // "XPAC"
@@ -170,18 +244,32 @@ class AdjacencyStore
     }
 
     /**
-     * Persistent per-slot index entry. Only `head` is authoritative:
-     * it is written once when the chain is created (and on compaction),
-     * so chain growth costs no random index writes; recovery finds the
-     * tail by walking the chain's next pointers. `tail` is a hint that
-     * is only refreshed on compaction.
+     * Persistent per-slot index entry, written once when the chain is
+     * created and on compaction, so chain growth costs no random index
+     * writes; recovery finds the tail by walking the chain's next
+     * pointers. `stamp` is the window stamp a compaction carried
+     * forward (records | epoch tag << 32): the replay-window records
+     * folded into the rewritten chain, which its blocks no longer
+     * count.
      */
     struct IndexEntry
     {
         uint64_t head;
-        uint64_t tail;
+        uint64_t stamp;
     };
     static_assert(sizeof(IndexEntry) == 16);
+
+    static uint64_t
+    stampWord(WindowStamp s)
+    {
+        return uint64_t{s.records} | (uint64_t{s.epoch} << 32);
+    }
+    static WindowStamp
+    stampOf(uint64_t w)
+    {
+        return WindowStamp{static_cast<uint32_t>(w),
+                           static_cast<uint16_t>(w >> 32)};
+    }
 
     /** Bytes of persistent index needed for @p num_slots. */
     static uint64_t
@@ -213,10 +301,11 @@ class AdjacencyStore
      * Append @p n neighbor records to @p slot's chain, filling the tail
      * block first and allocating degree-proportional new blocks as
      * needed. Updates @p chain (the caller's DRAM mirror) and the
-     * persistent index.
+     * persistent index. Every commit is stamped with window epoch tag
+     * @p epoch; the records count as written in that window.
      */
     void append(uint64_t slot, const vid_t *nebrs, uint32_t n,
-                VertexChain &chain);
+                VertexChain &chain, uint16_t epoch = 0);
 
     /**
      * Read every record of @p slot's chain into @p out (appended),
@@ -335,9 +424,6 @@ class AdjacencyStore
         return total;
     }
 
-    /** Whether the chain contains record @p nebr (recovery dedup). */
-    bool contains(const VertexChain &chain, vid_t nebr) const;
-
     /**
      * Rewrite @p slot's chain as a single block with tombstones applied
      * (Table I compact_adjs). Old blocks are abandoned to the
@@ -348,12 +434,17 @@ class AdjacencyStore
      * index head swings and is persisted (@p hooks->postCommit) — a
      * crash at any media write leaves the old or the new chain fully
      * intact. @p cat is the attribution category the rewrite traffic is
-     * blamed on (Compaction for the background compactor).
+     * blamed on (Compaction for the background compactor). @p stamp is
+     * the chain's window watermark before the rewrite: the index entry
+     * carries it forward and the new blocks count none of their records
+     * as window records (raw survivors beyond one block's capacity
+     * spill into further blocks).
      */
     CompactResult compact(uint64_t slot, VertexChain &chain,
                           const CompactHooks *hooks = nullptr,
                           telemetry::AccessCategory cat =
-                              telemetry::AccessCategory::AdjacencyArchive);
+                              telemetry::AccessCategory::AdjacencyArchive,
+                          WindowStamp stamp = {});
 
     /** Rebuild the DRAM chain mirror of @p slot from the device
      *  (trusting it — use loadChainValidated() after a crash). */
@@ -365,10 +456,22 @@ class AdjacencyStore
      * encoded payload and the varint stream must decode cleanly) and
      * truncates the chain at the first invalid one, repairing the
      * dangling link / index entry on the device so a later crash cannot
-     * resurrect the garbage. Thread-safe for distinct slots; @p scan
-     * accumulates what was found (caller merges).
+     * resurrect the garbage. A block that is not full yet has a
+     * successor (a flush whose first part never became durable) ends
+     * the chain too, so what survives is always a prefix of the
+     * appended records. Thread-safe for distinct slots; @p scan
+     * accumulates what was found (caller merges). @p window_records,
+     * when given, receives the chain's window watermark for epoch tag
+     * @p epoch: how many replay-window records the surviving chain
+     * holds.
      */
-    VertexChain loadChainValidated(uint64_t slot, ChainScan &scan);
+    VertexChain loadChainValidated(uint64_t slot, ChainScan &scan,
+                                   uint16_t epoch = 0,
+                                   uint32_t *window_records = nullptr);
+
+    /** Overwrite and persist @p slot's index entry (recovery repairs
+     *  an entry a crash tore mid-compaction from the journal). */
+    void restoreIndexEntry(uint64_t slot, uint64_t head, uint64_t stamp);
 
     /** The persistent index head of @p slot as currently on the device
      *  (not the DRAM mirror) — what recovery compares a compaction
@@ -383,21 +486,33 @@ class AdjacencyStore
 
   private:
     uint64_t indexEntryOff(uint64_t slot) const;
-    void persistIndex(uint64_t slot, const VertexChain &chain);
+    void persistIndex(uint64_t slot, uint64_t head, uint64_t stamp);
+
+    /** The adopted commit of a validated block. */
+    struct Commit
+    {
+        uint32_t count = 0;
+        uint32_t sum = 0;
+        uint8_t slot = 0;
+        uint32_t pre = 0;   ///< records that predate the stamp's window
+        uint16_t epoch = 0; ///< window epoch tag
+    };
 
     /**
-     * Validate one block at @p off. On success fills count/sum/slot of
-     * the adopted commit and returns true.
+     * Validate one block at @p off. On success fills the adopted commit
+     * and returns true.
      */
-    bool validateBlock(uint64_t off, BlockHeader &hdr, uint32_t &count,
-                       uint32_t &sum, uint8_t &slot, ChainScan &scan) const;
+    bool validateBlock(uint64_t off, BlockHeader &hdr, Commit &commit,
+                       ChainScan &scan) const;
 
     /** Record capacity for a new block given pending and stored counts. */
     uint32_t newBlockCapacity(uint32_t pending, uint32_t stored) const;
 
-    /** Allocate and write a fresh raw block holding @p n records;
-     *  @p cat is the category the write traffic is blamed on. */
+    /** Allocate and write a fresh raw block holding @p n records, its
+     *  commit stamped {@p pre, @p epoch}; @p cat is the category the
+     *  write traffic is blamed on. */
     uint64_t writeBlock(const vid_t *nebrs, uint32_t n, uint32_t capacity,
+                        uint32_t pre, uint16_t epoch,
                         telemetry::AccessCategory cat =
                             telemetry::AccessCategory::AdjacencyArchive);
 
@@ -407,10 +522,11 @@ class AdjacencyStore
                         uint32_t stored) const;
 
     /** Allocate and write a sealed compressed chunk of the run
-     *  (sorted copy, delta+varint encode, checksummed commit).
-     *  @return the block offset. */
+     *  (sorted copy, delta+varint encode, checksummed commit stamped
+     *  {@p pre, @p epoch}). @return the block offset. */
     uint64_t writeCompressedBlock(const vid_t *nebrs, uint32_t n,
-                                  uint32_t &payload_bytes,
+                                  uint32_t &payload_bytes, uint32_t pre,
+                                  uint16_t epoch,
                                   telemetry::AccessCategory cat =
                                       telemetry::AccessCategory::
                                           AdjacencyArchive);

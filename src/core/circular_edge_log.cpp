@@ -52,7 +52,8 @@ CircularEdgeLog::CircularEdgeLog(RecoverTag, MemoryDevice &dev,
                                  uint64_t region_off, bool battery_backed,
                                  const Header &h)
     : dev_(&dev), regionOff_(region_off), capacityEdges_(h.capacityEdges),
-      batteryBacked_(battery_backed), generation_(h.generation)
+      batteryBacked_(battery_backed), generation_(h.generation),
+      windowEpoch_(h.windowEpoch)
 {
     reservedHead_.store(h.head, std::memory_order_relaxed);
     publishedHead_.store(h.head, std::memory_order_relaxed);
@@ -64,7 +65,7 @@ CircularEdgeLog::CircularEdgeLog(CircularEdgeLog &&other) noexcept
     : dev_(other.dev_), regionOff_(other.regionOff_),
       capacityEdges_(other.capacityEdges_),
       batteryBacked_(other.batteryBacked_),
-      generation_(other.generation_)
+      generation_(other.generation_), windowEpoch_(other.windowEpoch_)
 {
     reservedHead_.store(other.reservedHead_.load(std::memory_order_relaxed),
                         std::memory_order_relaxed);
@@ -134,6 +135,7 @@ CircularEdgeLog::persistHeaderLocked()
              publishedHead_.load(std::memory_order_acquire),
              bufferedUpTo_.load(std::memory_order_relaxed),
              flushedUpTo_.load(std::memory_order_relaxed),
+             windowEpoch_,
              ++generation_,
              0};
     h.checksum = h.computeChecksum();
@@ -269,13 +271,65 @@ CircularEdgeLog::markBuffered(uint64_t up_to)
 }
 
 void
-CircularEdgeLog::markFlushed(uint64_t up_to)
+CircularEdgeLog::markFlushed(uint64_t up_to, uint64_t window_epoch)
 {
     XPG_ASSERT(up_to >= flushedUpTo() && up_to <= bufferedUpTo(),
                "markFlushed out of order");
     flushedUpTo_.store(up_to, std::memory_order_release);
     std::lock_guard<SpinLock> guard(headerLock_);
+    windowEpoch_ = window_epoch;
     persistHeaderLocked();
+}
+
+namespace {
+
+// Mark word: valid bit 63, phase sequence in bits [40, 63), the
+// phase-end position in bits [0, 40).
+constexpr uint64_t kMarkValid = 1ull << 63;
+constexpr unsigned kMarkToBits = 40;
+constexpr uint64_t kMarkToMask = (1ull << kMarkToBits) - 1;
+static_assert(CircularEdgeLog::kPhaseSeqSpace <= (1ull << 23));
+
+} // namespace
+
+uint64_t
+CircularEdgeLog::phaseMarkOff(unsigned i) const
+{
+    constexpr unsigned kPerLine =
+        static_cast<unsigned>((kXPLineSize - 64) / sizeof(uint64_t));
+    static_assert(2 * kPerLine == kPhaseMarks,
+                  "the ring fills the spare bytes of both header lines");
+    return regionOff_ + (i / kPerLine) * kXPLineSize + 64 +
+           (i % kPerLine) * sizeof(uint64_t);
+}
+
+void
+CircularEdgeLog::markPhase(uint64_t seq, uint64_t to)
+{
+    XPG_ASSERT(to <= kMarkToMask && seq < kPhaseSeqSpace,
+               "phase mark out of range");
+    const uint64_t word = kMarkValid | (seq << kMarkToBits) | to;
+    const uint64_t off =
+        phaseMarkOff(static_cast<unsigned>(seq % kPhaseMarks));
+    XPG_ATTR_SCOPE(attrScope, Superblock);
+    dev_->writePod<uint64_t>(off, word);
+    dev_->persist(off, sizeof(word));
+}
+
+std::vector<CircularEdgeLog::PhaseMark>
+CircularEdgeLog::phaseMarks() const
+{
+    std::vector<PhaseMark> marks;
+    for (unsigned i = 0; i < kPhaseMarks; ++i) {
+        const auto word = dev_->readPod<uint64_t>(phaseMarkOff(i));
+        if ((word & kMarkValid) == 0)
+            continue;
+        const uint64_t seq = (word & ~kMarkValid) >> kMarkToBits;
+        if (seq >= kPhaseSeqSpace || seq % kPhaseMarks != i)
+            continue; // not a mark this ring wrote
+        marks.push_back(PhaseMark{seq, word & kMarkToMask});
+    }
+    return marks;
 }
 
 void

@@ -27,7 +27,15 @@
  * the slot-write fast path.
  *
  * The header (head + both positions) lives in the same PMEM region, so
- * recovery can locate the replay window [flushedUpTo, bufferedUpTo).
+ * recovery can locate the replay window [flushedUpTo, head). It also
+ * carries the *window epoch* (how many times the replay window was
+ * reset by a flush-all) that adjacency commit words are stamped with.
+ *
+ * The spare bytes of the two header XPLines hold a small ring of
+ * *phase marks*: where each buffering phase of the current window ended
+ * on this log. A vertex buffer receives a phase's records node by node,
+ * so recovery needs every log's phase ends to replay a window in the
+ * order the vertex buffers saw it (DESIGN.md §8).
  */
 
 #ifndef XPG_CORE_CIRCULAR_EDGE_LOG_HPP
@@ -181,8 +189,39 @@ class CircularEdgeLog
     /** Advance bufferedUpTo (persists the header). */
     void markBuffered(uint64_t up_to);
 
-    /** Advance flushedUpTo (persists the header). */
-    void markFlushed(uint64_t up_to);
+    /** Advance flushedUpTo and set the window epoch in the same header
+     *  persist (the engine's flush-all resets the replay window). */
+    void markFlushed(uint64_t up_to, uint64_t window_epoch);
+
+    /** Advance flushedUpTo, keeping the window epoch. */
+    void markFlushed(uint64_t up_to) { markFlushed(up_to, windowEpoch_); }
+
+    /** Window epoch of the persisted header (0 on a fresh log). */
+    uint64_t windowEpoch() const { return windowEpoch_; }
+
+    /** Phase marks the header lines hold (ring capacity). */
+    static constexpr unsigned kPhaseMarks = 48;
+
+    /** Phase sequence numbers wrap modulo this (a multiple of the ring
+     *  size, so seq % kPhaseMarks stays a ring slot across the wrap). */
+    static constexpr uint64_t kPhaseSeqSpace = uint64_t{kPhaseMarks} << 17;
+
+    /** One buffering phase's end on this log. */
+    struct PhaseMark
+    {
+        uint64_t seq; ///< store-wide phase sequence, < kPhaseSeqSpace
+        uint64_t to;  ///< the phase buffered this log up to here
+    };
+
+    /**
+     * Record that buffering phase @p seq drains this log up to @p to:
+     * one 8-byte word (failure-atomic) in ring slot seq % kPhaseMarks,
+     * persisted before the phase touches any vertex buffer.
+     */
+    void markPhase(uint64_t seq, uint64_t to);
+
+    /** Every valid mark in the ring (recovery; any order). */
+    std::vector<PhaseMark> phaseMarks() const;
 
     /**
      * Recovery-only repair: rewind the published head to @p new_head
@@ -207,19 +246,24 @@ class CircularEdgeLog
         uint64_t head;
         uint64_t bufferedUpTo;
         uint64_t flushedUpTo;
+        uint64_t windowEpoch; ///< replay-window resets (flush-alls)
         uint64_t generation;
         uint64_t checksum; ///< FNV-1a over all preceding fields
 
         uint64_t computeChecksum() const;
         bool valid() const;
     };
-    static constexpr uint64_t kMagic = 0x58504c4f47453132ull; // "XPLOGE12"
+    static_assert(sizeof(Header) <= 64, "header fits one cache line");
+    static constexpr uint64_t kMagic = 0x58504c4f47453133ull; // "XPLOGE13"
 
     struct RecoverTag {};
     CircularEdgeLog(RecoverTag, MemoryDevice &dev, uint64_t region_off,
                     bool battery_backed, const Header &header);
 
     uint64_t slotOff(uint64_t pos) const;
+    /** Device offset of ring slot @p i: the bytes past the header in
+     *  copy A's line, then in copy B's line. */
+    uint64_t phaseMarkOff(unsigned i) const;
     /** Persist the header; caller must hold headerLock_. */
     void persistHeaderLocked();
     /** Persist the published slot range [pos, pos+n) to the media. */
@@ -258,6 +302,7 @@ class CircularEdgeLog
      *  Guards generation_. */
     mutable SpinLock headerLock_;
     uint64_t generation_ = 0; ///< of the last persisted header copy
+    uint64_t windowEpoch_ = 0; ///< written under headerLock_
 };
 
 } // namespace xpg

@@ -45,7 +45,9 @@ struct RecoveryReport
     // --- replay (edges moved from the durable log window back into
     //     vertex buffers) ---
     uint64_t edgesReplayed = 0;   ///< re-inserted from [flushed, head)
-    uint64_t edgesDeduped = 0;    ///< already present in adjacency; skipped
+    /** Window records already durable by position (the chains' window
+     *  watermarks covered them); skipped, not re-inserted. */
+    uint64_t edgesDeduped = 0;
     uint64_t logEdgesTruncated = 0; ///< published window cut at garbage
     uint64_t logEdgesSkipped = 0;   ///< invalid edges skipped in replay
     /** Torn/garbage log-header copies rejected for the other copy. */
@@ -68,6 +70,9 @@ struct RecoveryReport
     uint64_t chunksReclaimed = 0;
 
     uint64_t recoveryNs = 0; ///< simulated recovery time
+    /** recoveryNs split by phase: rebuildNs + replayNs == recoveryNs. */
+    uint64_t rebuildNs = 0; ///< chain validation + DRAM index rebuild
+    uint64_t replayNs = 0;  ///< log-window replay into vertex buffers
 
     bool
     ok() const

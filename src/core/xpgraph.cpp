@@ -56,8 +56,10 @@ struct Superblock
 };
 
 constexpr uint64_t kSuperMagic = 0x5850475250483033ull; // "XPGRPH03"
-/** v3: checksummed superblock with config fingerprint + generation. */
-constexpr uint32_t kSuperVersion = 3;
+/** v3: checksummed superblock with config fingerprint + generation.
+ *  v4: window-stamped adjacency commit words and index entries, log
+ *  headers with a window epoch and phase marks (DESIGN.md §8). */
+constexpr uint32_t kSuperVersion = 4;
 constexpr uint64_t kSuperblockBytes = 4096;
 /** Device offset of the allocator's persistent tail pointer. */
 constexpr uint64_t kAllocTailOff = 512;
@@ -69,7 +71,8 @@ constexpr uint64_t kAllocTailOff = 512;
 // Protocol per chain rewrite (AdjacencyStore::compact drives 1/3/4 via
 // the CompactHooks, the engine drives 2/5):
 //   1. new chain fully written + persisted
-//   2. arm: entry {side, slot, oldHead, newHead} written + persisted
+//   2. arm: entry {side, slot, oldHead, newHead, oldStamp, newStamp}
+//      written + persisted
 //   3. index head swung to newHead
 //   4. index entry persisted
 //   5. clear: entry zeroed + persisted
@@ -78,9 +81,11 @@ constexpr uint64_t kAllocTailOff = 512;
 // them). A crash between 2 and 5 is resolved by comparing the persisted
 // index head with newHead: equal means the swing committed and the OLD
 // chain is the reclaimed garbage; different means the swing never
-// landed and the NEW chain is. A torn entry write fails the checksum
-// and is ignored — ordering (2 before 3) guarantees the swing cannot
-// have happened yet. Fresh devices are zero-filled, and magic 0 never
+// landed and the NEW chain is. Either way recovery rewrites the whole
+// index entry from the journal: its two words (head, window stamp) may
+// have reached the media one without the other. A torn entry write
+// fails the checksum and is ignored — ordering (2 before 3) guarantees
+// the swing cannot have happened yet. Fresh devices are zero-filled, and magic 0 never
 // validates, so an empty journal needs no initialization.
 constexpr uint64_t kCompactionJournalOff = 1024;
 constexpr unsigned kCompactionJournalSlots = 48;
@@ -94,7 +99,8 @@ struct CompactionJournalEntry
     uint64_t slot = 0; ///< store-local vertex slot
     uint64_t oldHead = 0;
     uint64_t newHead = 0;
-    uint64_t reserved[2] = {0, 0};
+    uint64_t oldStamp = 0; ///< index window stamp before the swing
+    uint64_t newStamp = 0; ///< and after it
     uint64_t checksum = 0; ///< FNV-1a over all preceding fields
 
     uint64_t
@@ -121,7 +127,8 @@ compactionJournalOff(unsigned jslot)
 
 void
 armCompactionJournal(MemoryDevice &dev, unsigned jslot, uint64_t side,
-                     uint64_t slot, uint64_t old_head, uint64_t new_head)
+                     uint64_t slot, uint64_t old_head, uint64_t new_head,
+                     uint64_t old_stamp, uint64_t new_stamp)
 {
     CompactionJournalEntry e;
     e.magic = kCompactionJournalMagic;
@@ -129,6 +136,8 @@ armCompactionJournal(MemoryDevice &dev, unsigned jslot, uint64_t side,
     e.slot = slot;
     e.oldHead = old_head;
     e.newHead = new_head;
+    e.oldStamp = old_stamp;
+    e.newStamp = new_stamp;
     e.checksum = e.computeChecksum();
     dev.writePod<CompactionJournalEntry>(compactionJournalOff(jslot), e);
     dev.persist(compactionJournalOff(jslot), sizeof(e));
@@ -207,6 +216,8 @@ RecoveryReport::toJson() const
     doc.set("compactions_in_flight", compactionsInFlight);
     doc.set("chunks_reclaimed", chunksReclaimed);
     doc.set("recovery_ns", recoveryNs);
+    doc.set("rebuild_ns", rebuildNs);
+    doc.set("replay_ns", replayNs);
     return doc;
 }
 
@@ -793,16 +804,21 @@ XPGraph::scanCompactionJournals(RecoveryReport *report)
             }
             ++in_flight;
             Side *side = e.side == 0 ? part.out.get() : part.in.get();
-            if (report && side && e.slot < side->states.size()) {
+            if (side && e.slot < side->states.size()) {
                 // Committed iff the persisted index head reached the
                 // new chain; the old chain is then unreachable garbage
                 // (counted, never reused). Otherwise the swing never
                 // landed: the old chain is still live and the new
                 // blocks are leaked space, which the bytesLeaked
                 // accounting below absorbs.
-                if (side->store->indexHead(e.slot) == e.newHead)
+                const bool committed =
+                    side->store->indexHead(e.slot) == e.newHead;
+                if (committed && report)
                     report->chunksReclaimed +=
                         side->store->countChainBlocks(e.oldHead);
+                side->store->restoreIndexEntry(
+                    e.slot, committed ? e.newHead : e.oldHead,
+                    committed ? e.newStamp : e.oldStamp);
             }
             clearCompactionJournal(*part.dev, j);
         }
@@ -820,13 +836,17 @@ XPGraph::rebuildFromDevices(RecoveryReport *report)
     // Phase 0 (serial, cheap): resolve any compaction caught mid-commit
     // by the crash. Either side of the torn window is fully intact on
     // media (COW discipline); the journal says which one the index
-    // reached, and the entry is scrubbed once accounted.
+    // reached, and the entry is scrubbed once accounted. Then settle
+    // the window epoch the chain stamps are read against.
     scanCompactionJournals(report);
+    reconcileWindowEpochs();
+    const uint16_t tag = windowTag();
 
     // Phase 1 (parallel): rebuild the DRAM chain mirrors from the
     // persistent vertex index, validating every block (magic, bounds,
     // commit words, record checksum) and truncating each chain at the
-    // first torn/garbage block. Scans accumulate per (worker, node) to
+    // first torn/garbage block; the surviving stamps give each vertex
+    // side its window watermark. Scans accumulate per (worker, node) to
     // stay race-free and are merged below.
     const unsigned p = config_.numNodes;
     std::vector<ChainScan> scans(
@@ -857,7 +877,8 @@ XPGraph::rebuildFromDevices(RecoveryReport *report)
                 const uint64_t end = std::min<uint64_t>(slots, begin + per);
                 for (uint64_t slot = begin; slot < end; ++slot) {
                     VertexState &st = side->states[slot];
-                    st.chain = side->store->loadChainValidated(slot, scan);
+                    st.chain = side->store->loadChainValidated(
+                        slot, scan, tag, &st.windowRecords);
                     // "Loading the graph data from PMEM" (S V-D): the
                     // block contents are read back and the DRAM
                     // per-vertex state is rebuilt.
@@ -878,8 +899,9 @@ XPGraph::rebuildFromDevices(RecoveryReport *report)
         });
         });
     }
-    recoveryNs_ += result.maxNanos();
-    XPG_TEL_RECORD(telRecoveryRebuildHist_, result.maxNanos());
+    const uint64_t rebuild_ns = result.maxNanos();
+    recoveryNs_ += rebuild_ns;
+    XPG_TEL_RECORD(telRecoveryRebuildHist_, rebuild_ns);
 
     // Merge the scans: repair the allocator tail wherever a durable
     // linked block sits past the persisted tail (its tail persist was
@@ -908,20 +930,126 @@ XPGraph::rebuildFromDevices(RecoveryReport *report)
         }
     }
 
-    // Phase 2 (serial): replay every node's buffered-but-unflushed log
-    // window into fresh vertex buffers, skipping records already in PMEM
-    // (S III-B). Per-log order is the sessions' publish order, so
-    // same-vertex records replay in their original relative order.
-    //
+    // Phase 2 (serial): replay the log window into fresh vertex buffers
+    // (S III-B), skipping the records already durable by position.
+    SimScope replay_scope;
+    {
+        XPG_TRACE_SCOPE(replaySpan, "recovery.replay_log", "recovery");
+        XPG_ATTR_SCOPE(attrScope, RecoveryReplay);
+        replayWindow(report);
+    }
+    const uint64_t replay_ns = replay_scope.elapsed();
+    recoveryNs_ += replay_ns;
+    XPG_TEL_RECORD(telRecoveryReplayHist_, replay_ns);
+    if (report) {
+        report->rebuildNs = rebuild_ns;
+        report->replayNs = replay_ns;
+    }
+}
+
+void
+XPGraph::reconcileWindowEpochs()
+{
+    // A flush-all makes the whole window durable (device quiesce), then
+    // persists each log's header in turn with the next epoch. A log
+    // still at the older epoch only missed that header persist: finish
+    // it, so every log's window starts after the flushed records.
+    uint64_t epoch = 0;
+    for (const auto &part : parts_)
+        epoch = std::max(epoch, part.log->windowEpoch());
+    for (auto &part : parts_) {
+        if (part.log->windowEpoch() < epoch)
+            part.log->markFlushed(part.log->bufferedUpTo(), epoch);
+    }
+    windowEpoch_ = epoch;
+}
+
+std::vector<XPGraph::LogRange>
+XPGraph::replayOrder()
+{
+    const unsigned p = config_.numNodes;
+    std::vector<uint64_t> cursor(p);
+    std::vector<uint64_t> head(p);
+    for (unsigned node = 0; node < p; ++node) {
+        cursor[node] = parts_[node].log->flushedUpTo();
+        head[node] = parts_[node].log->head();
+    }
+    std::vector<LogRange> order;
+    windowPhases_ = 0;
+    if (phaseMarksEnabled()) {
+        // Join the logs' marks by phase; a phase only some logs marked
+        // crashed while marking, before it buffered anything.
+        constexpr uint64_t kUnmarked = ~0ull;
+        std::map<uint64_t, std::vector<uint64_t>> phases;
+        for (const auto &m : parts_[0].log->phaseMarks()) {
+            auto &to = phases[m.seq];
+            to.assign(p, kUnmarked);
+            to[0] = m.to;
+        }
+        for (unsigned node = 1; node < p; ++node) {
+            for (const auto &m : parts_[node].log->phaseMarks()) {
+                auto it = phases.find(m.seq);
+                if (it != phases.end())
+                    it->second[node] = m.to;
+            }
+        }
+        // The window's phases are consecutive sequence numbers; order
+        // them across the wrap of the sequence space.
+        std::vector<std::pair<uint64_t, const std::vector<uint64_t> *>>
+            window;
+        for (const auto &[seq, to] : phases) {
+            bool complete = true;
+            bool in_window = false;
+            for (unsigned node = 0; node < p; ++node) {
+                complete &= to[node] != kUnmarked;
+                in_window |= to[node] != kUnmarked &&
+                             to[node] > cursor[node];
+            }
+            if (complete && in_window)
+                window.emplace_back(seq, &to);
+        }
+        constexpr uint64_t kSpace = CircularEdgeLog::kPhaseSeqSpace;
+        if (!window.empty() &&
+            window.back().first - window.front().first > kSpace / 2) {
+            std::rotate(window.begin(),
+                        std::find_if(window.begin(), window.end(),
+                                     [](const auto &w) {
+                                         return w.first >= kSpace / 2;
+                                     }),
+                        window.end());
+        }
+        for (const auto &[seq, to] : window) {
+            for (unsigned node = 0; node < p; ++node) {
+                const uint64_t end = std::min((*to)[node], head[node]);
+                if (end > cursor[node]) {
+                    order.push_back(LogRange{node, cursor[node], end});
+                    cursor[node] = end;
+                }
+            }
+            phaseSeq_ = seq;
+            ++windowPhases_;
+        }
+        if (window.empty() && !phases.empty())
+            phaseSeq_ = phases.rbegin()->first;
+    }
+    // Whatever follows was never buffered (without phase marks: one
+    // range per log, which is the buffering order for a single log).
+    for (unsigned node = 0; node < p; ++node) {
+        if (head[node] > cursor[node])
+            order.push_back(LogRange{node, cursor[node], head[node]});
+    }
+    return order;
+}
+
+void
+XPGraph::replayWindow(RecoveryReport *report)
+{
     // The fenced publish (slots persist before the head CAS, header
     // persists after) guarantees every position below the recovered head
     // is a fully durable edge — but recovery double-checks: a garbage
     // edge in the published-but-unbuffered window truncates the head to
-    // the last consistent prefix, and one in the replay window (already
+    // the last consistent prefix, and one in the buffered part (already
     // consumed by a buffering phase; cannot be truncated) is skipped.
-    SimScope replay_scope;
-    XPG_TRACE_SCOPE(replaySpan, "recovery.replay_log", "recovery");
-    XPG_ATTR_SCOPE(attrScope, RecoveryReplay);
     const auto edge_ok = [&](const Edge &e) {
         return !isDelete(e.src) && rawVid(e.src) < config_.maxVertices &&
                rawVid(e.dst) < config_.maxVertices;
@@ -939,40 +1067,84 @@ XPGraph::rebuildFromDevices(RecoveryReport *report)
                 report->logEdgesTruncated += window.size() - valid;
             part.log->truncateHead(buffered + valid);
         }
+    }
 
+    // A vertex buffer received its window records in phase order, and a
+    // flush made a prefix of them durable: each side skips its first
+    // windowRecords records of the window and re-buffers the rest.
+    const unsigned p = config_.numNodes;
+    std::vector<std::vector<uint32_t>> skip_out(p);
+    std::vector<std::vector<uint32_t>> skip_in(p);
+    for (unsigned node = 0; node < p; ++node) {
+        for (auto [side, skip] : {std::pair{parts_[node].out.get(),
+                                            &skip_out[node]},
+                                  std::pair{parts_[node].in.get(),
+                                            &skip_in[node]}}) {
+            if (!side)
+                continue;
+            skip->resize(side->states.size());
+            for (uint64_t slot = 0; slot < side->states.size(); ++slot)
+                (*skip)[slot] = side->states[slot].windowRecords;
+        }
+    }
+    const auto replay = [&](std::vector<std::vector<uint32_t>> &skip,
+                            Side &side, unsigned node, uint64_t slot,
+                            vid_t rec) {
+        uint32_t &left = skip[node][slot];
+        if (left > 0) {
+            --left;
+            chargeDramScattered(1); // the vertex-state slot
+            return false;
+        }
+        insertBuffered(side, slot, rec);
+        return true;
+    };
+    for (const LogRange &r : replayOrder()) {
         window.clear();
-        part.log->readRange(part.log->flushedUpTo(), buffered, window);
+        parts_[r.node].log->readRange(r.from, r.to, window);
         for (const Edge &e : window) {
             if (!edge_ok(e)) {
                 if (report)
                     ++report->logEdgesSkipped;
                 continue;
             }
-            {
-                Side &side = *parts_[outOwner(e.src)].out;
-                const uint64_t slot = outSlot(e.src);
-                VertexState &st = side.states[slot];
-                if (!side.store->contains(st.chain, e.dst)) {
-                    insertBuffered(side, slot, e.dst);
-                    if (report)
-                        ++report->edgesReplayed;
-                } else if (report) {
-                    ++report->edgesDeduped;
-                }
-            }
-            {
-                const vid_t in_rec =
-                    isDelete(e.dst) ? asDelete(e.src) : e.src;
-                Side &side = *parts_[inOwner(rawVid(e.dst))].in;
-                const uint64_t slot = inSlot(rawVid(e.dst));
-                VertexState &st = side.states[slot];
-                if (!side.store->contains(st.chain, in_rec))
-                    insertBuffered(side, slot, in_rec);
-            }
+            const unsigned out_node = outOwner(e.src);
+            const bool replayed =
+                replay(skip_out, *parts_[out_node].out, out_node,
+                       outSlot(e.src), e.dst);
+            if (report)
+                ++(replayed ? report->edgesReplayed : report->edgesDeduped);
+            const unsigned in_node = inOwner(rawVid(e.dst));
+            replay(skip_in, *parts_[in_node].in, in_node,
+                   inSlot(rawVid(e.dst)),
+                   isDelete(e.dst) ? asDelete(e.src) : e.src);
         }
     }
-    recoveryNs_ += replay_scope.elapsed();
-    XPG_TEL_RECORD(telRecoveryReplayHist_, replay_scope.elapsed());
+
+    // Everything up to each head is buffered now, in the order the
+    // ranges above took: record it as one more phase of the window.
+    bool pending = false;
+    for (const auto &part : parts_)
+        pending |= part.log->head() > part.log->bufferedUpTo();
+    if (!pending)
+        return;
+    const bool marked = phaseMarksEnabled() &&
+                        windowPhases_ < CircularEdgeLog::kPhaseMarks;
+    if (marked) {
+        phaseSeq_ = (phaseSeq_ + 1) % CircularEdgeLog::kPhaseSeqSpace;
+        for (auto &part : parts_)
+            part.log->markPhase(phaseSeq_, part.log->head());
+        ++windowPhases_;
+    }
+    for (auto &part : parts_) {
+        if (part.log->head() > part.log->bufferedUpTo())
+            part.log->markBuffered(part.log->head());
+    }
+    if (phaseMarksEnabled() && !marked) {
+        // No ring slot left for this phase: close the window instead.
+        std::lock_guard<std::mutex> lock(archiveMutex_);
+        runFlushAllLocked(/*release_buffers=*/false);
+    }
 }
 
 std::shared_ptr<FaultInjector>
@@ -1413,18 +1585,21 @@ XPGraph::compactSlotJournaled(Partition &part, Side &side, bool is_out,
     if (!st.chain.empty()) {
         MemoryDevice &dev = *part.dev;
         CompactHooks hooks;
-        hooks.preCommit = [&dev, is_out, jslot](uint64_t s,
-                                                uint64_t old_head,
-                                                uint64_t new_head) {
+        hooks.preCommit = [&dev, is_out, jslot](
+                              uint64_t s, uint64_t old_head,
+                              uint64_t new_head, uint64_t old_stamp,
+                              uint64_t new_stamp) {
             armCompactionJournal(dev, jslot, is_out ? 0 : 1, s, old_head,
-                                 new_head);
+                                 new_head, old_stamp, new_stamp);
         };
         hooks.postCommit = [&dev, jslot](uint64_t) {
             clearCompactionJournal(dev, jslot);
         };
+        const WindowStamp stamp{windowRecordsOf(st), windowTag()};
         const CompactResult r = side.store->compact(
-            slot, st.chain, &hooks,
-            telemetry::AccessCategory::Compaction);
+            slot, st.chain, &hooks, telemetry::AccessCategory::Compaction,
+            stamp);
+        st.windowRecords = stamp.records;
         compactionSlots_.fetch_add(1, std::memory_order_relaxed);
         compactionBytesReclaimed_.fetch_add(r.bytesAbandoned,
                                             std::memory_order_relaxed);
@@ -1558,6 +1733,10 @@ XPGraph::runBufferingPhaseLocked(bool capped)
     phaseEnterLocked();
     XPG_OP_SCOPE(opScope, this, "buffering_phase", Archive);
     XPG_TRACE_SCOPE(phaseSpan, "buffering_phase", "archive");
+    // Each log's mark ring holds one window's phases: a window that
+    // would outgrow it is closed by a flush-all first.
+    if (phaseMarksEnabled() && windowPhases_ >= CircularEdgeLog::kPhaseMarks)
+        runFlushAllLocked(/*release_buffers=*/false);
     const uint64_t phaseStartNs =
         bufferingNs_.load(std::memory_order_relaxed);
     SimScope serial_scope;
@@ -1583,6 +1762,15 @@ XPGraph::runBufferingPhaseLocked(bool capped)
     if (total == 0) {
         phaseExitLocked();
         return;
+    }
+    if (phaseMarksEnabled()) {
+        // Marked before any vertex buffer sees the phase: a flush later
+        // in the phase may make some of its records durable, and
+        // recovery needs the phase's extent on every log to know which.
+        phaseSeq_ = (phaseSeq_ + 1) % CircularEdgeLog::kPhaseSeqSpace;
+        for (unsigned node = 0; node < config_.numNodes; ++node)
+            parts_[node].log->markPhase(phaseSeq_, phaseUpTo_[node]);
+        ++windowPhases_;
     }
     batch_.resize(total);
     declareArchiveConcurrency();
@@ -1729,8 +1917,17 @@ XPGraph::runFlushAllLocked(bool release_buffers)
     // neither the log window nor a durable chain.
     for (auto &part : parts_)
         part.dev->quiesce();
+    // The window resets: every record buffered so far is durable, and
+    // the stamps of this window's flushes turn stale.
+    bool advanced = false;
     for (auto &part : parts_)
-        part.log->markFlushed(part.log->bufferedUpTo());
+        advanced |= part.log->bufferedUpTo() > part.log->flushedUpTo();
+    if (advanced) {
+        ++windowEpoch_;
+        windowPhases_ = 0;
+    }
+    for (auto &part : parts_)
+        part.log->markFlushed(part.log->bufferedUpTo(), windowEpoch_);
     phaseExitLocked();
 }
 
@@ -1816,7 +2013,11 @@ void
 XPGraph::flushVertex(Side &side, uint64_t slot, VertexState &st)
 {
     auto *hdr = vbuf::header(st.buf);
-    side.store->append(slot, vbuf::payload(st.buf), hdr->cnt, st.chain);
+    // The buffer holds the vertex's window records in the order they
+    // were buffered, right after the ones already durable.
+    st.windowRecords = windowRecordsOf(st) + hdr->cnt;
+    side.store->append(slot, vbuf::payload(st.buf), hdr->cnt, st.chain,
+                       windowTag());
     chargeDramSequential(hdr->cnt * sizeof(vid_t));
     if (viewsPinned_) {
         // An open view captured this buffer's payload: park it in the

@@ -66,6 +66,14 @@ struct VertexState
 {
     std::byte *buf = nullptr; ///< pool-allocated vertex buffer
     uint32_t bufBytes = 0;    ///< current buffer layer size (0 = none)
+    /**
+     * Replay-window records durable in the chain (the window watermark,
+     * DESIGN.md §8). Meaningful while chain.tailEpoch is the current
+     * window epoch's tag: the tail commit is the vertex's latest flush
+     * or compaction, so an older tag means none of its records is in
+     * the current window.
+     */
+    uint32_t windowRecords = 0;
     VertexChain chain;        ///< DRAM mirror of the PMEM chain
 
     /**
@@ -79,6 +87,7 @@ struct VertexState
     uint32_t records = 0;
     uint32_t tombstones = 0;
 };
+static_assert(sizeof(VertexState) == 64, "one cache line per vertex side");
 
 /** Device capacity per node that comfortably fits the given workload. */
 uint64_t recommendedBytesPerNode(const XPGraphConfig &config,
@@ -484,6 +493,45 @@ class XPGraph : public GraphStore
             fn(s % p, s / p, slotsOnNode(s % p));
     }
 
+    // --- replay window (DESIGN.md §8) ---
+
+    /** Whether buffering phases leave phase marks in the logs: the
+     *  vertex buffers interleave several logs' records, and records
+     *  buffered into volatile DRAM must be replayable after a crash. */
+    bool
+    phaseMarksEnabled() const
+    {
+        return config_.numNodes > 1 && !config_.batteryBacked;
+    }
+    /** Window epoch tag the flushes of the current window stamp. */
+    uint16_t
+    windowTag() const
+    {
+        return AdjacencyStore::epochTag(windowEpoch_);
+    }
+    /** @p st's window watermark, zero when its stamp is older. */
+    uint32_t
+    windowRecordsOf(const VertexState &st) const
+    {
+        return st.chain.tailEpoch == windowTag() ? st.windowRecords : 0;
+    }
+    /** Recovery: finish a flush-all the crash interrupted between the
+     *  per-log header persists, and adopt the window epoch. */
+    void reconcileWindowEpochs();
+    /** Recovery: the log ranges of the replay window, in the order the
+     *  vertex buffers received them; restores phaseSeq_ and
+     *  windowPhases_ from the logs' phase marks. */
+    struct LogRange
+    {
+        unsigned node;
+        uint64_t from;
+        uint64_t to;
+    };
+    std::vector<LogRange> replayOrder();
+    /** Recovery: replay the window into the vertex buffers, skipping
+     *  each vertex side's first windowRecords records. */
+    void replayWindow(RecoveryReport *report);
+
     // per-edge work
     void insertBuffered(Side &side, uint64_t slot, vid_t nebr);
     void growBuffer(VertexState &st);
@@ -620,6 +668,12 @@ class XPGraph : public GraphStore
     std::atomic<uint64_t> compactionSlots_{0};
     std::atomic<uint64_t> compactionBytesReclaimed_{0};
     std::atomic<uint64_t> compactionRecordsDropped_{0};
+
+    // replay window (guarded by archiveMutex_; recovery is single-
+    // threaded)
+    uint64_t windowEpoch_ = 0;  ///< flush-alls that reset the window
+    uint64_t phaseSeq_ = 0;     ///< last phase mark's sequence number
+    unsigned windowPhases_ = 0; ///< buffering phases in this window
 
     // --- query-path counters (round observability, DESIGN.md §15) ---
     // Mutable: bumped on the const query paths (forEachLive, the view

@@ -112,7 +112,12 @@ class AccessScope
     static AccessCategory current() noexcept { return tls_; }
 
   private:
-    static thread_local AccessCategory tls_;
+    // Inline with a constant initializer: every access is a plain
+    // TLS-offset load, with no per-access TLS-wrapper call (which the
+    // out-of-line definition needed, and which strict UBSan builds
+    // reported as null-pointer loads/stores).
+    static constinit inline thread_local AccessCategory tls_ =
+        AccessCategory::Other;
     AccessCategory prev_;
 };
 

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -118,29 +119,47 @@ class LiveState
 };
 
 /**
+ * The session (of @p sessions) an op's edge goes through: every op on
+ * one edge key uses the same session, so deletes and duplicates stay
+ * ordered within one log and the model is order-independent across
+ * sessions.
+ */
+inline unsigned
+sessionOf(const Edge &e, unsigned sessions)
+{
+    return (e.src + rawVid(e.dst)) % sessions;
+}
+
+/**
  * Apply @p ops to @p store until @p injector trips (or the stream ends).
- * @p compact runs the store's compaction for Op::Compact steps.
+ * @p compact runs the store's compaction for Op::Compact steps. With
+ * @p sessions > 1, sessions 0..sessions-1 (one per node on a multi-node
+ * store) share the ops by sessionOf().
  * @return {acked, submitted}: ops completed before the crash and ops
  *         started (submitted == acked + 1 when the crash hit mid-op).
  */
 inline std::pair<uint64_t, uint64_t>
 runUntilCrash(GraphStore &store, const std::vector<Op> &ops,
               const FaultInjector *injector,
-              const std::function<void()> &compact = nullptr)
+              const std::function<void()> &compact = nullptr,
+              unsigned sessions = 1)
 {
     uint64_t acked = 0;
     uint64_t submitted = 0;
-    const auto session = store.session(0);
+    std::vector<std::unique_ptr<IngestSession>> open;
+    for (unsigned s = 0; s < sessions; ++s)
+        open.push_back(store.session(s));
     for (const Op &op : ops) {
         if (injector && injector->crashed())
             break;
         ++submitted;
+        IngestSession &session = *open[sessionOf(op.e, sessions)];
         switch (op.kind) {
           case Op::Insert:
-            session->addEdge(op.e.src, op.e.dst);
+            session.addEdge(op.e.src, op.e.dst);
             break;
           case Op::Delete:
-            session->delEdge(op.e.src, op.e.dst);
+            session.delEdge(op.e.src, op.e.dst);
             break;
           case Op::Compact:
             if (compact)

@@ -1,8 +1,9 @@
 /**
  * @file
  * AdjacencyStore unit tests: append/fill/grow behaviour, chain reads,
- * contains(), compaction, persistent-index recovery, and the streaming
- * write pattern (property-checked over append sizes with TEST_P).
+ * window stamps, compaction, persistent-index recovery, and the
+ * streaming write pattern (property-checked over append sizes with
+ * TEST_P).
  */
 
 #include <gtest/gtest.h>
@@ -112,16 +113,82 @@ TEST_F(StoreFixture, BlockCapacityGrowsWithDegree)
         << "tail block capacity should exceed a single flush";
 }
 
-TEST_F(StoreFixture, ContainsFindsOnlyPresentRecords)
+/** The window watermark a validated reload reports for @p epoch. */
+uint32_t
+windowRecords(AdjacencyStore &store, uint64_t slot, uint16_t epoch)
+{
+    ChainScan scan;
+    uint32_t window = 0;
+    store.loadChainValidated(slot, scan, epoch, &window);
+    return window;
+}
+
+TEST_F(StoreFixture, WindowStampCountsRecordsOfItsEpoch)
 {
     VertexChain chain;
-    auto nebrs = seq(100, 10);
-    store_.append(4, nebrs.data(), 100, chain);
-    EXPECT_TRUE(store_.contains(chain, 10));
-    EXPECT_TRUE(store_.contains(chain, 109));
-    EXPECT_FALSE(store_.contains(chain, 9));
-    EXPECT_FALSE(store_.contains(chain, 110));
-    EXPECT_FALSE(store_.contains(VertexChain{}, 10));
+    auto first = seq(10);
+    store_.append(4, first.data(), 10, chain, /*epoch=*/1);
+    auto second = seq(30, 100); // fills the tail, then a new block
+    store_.append(4, second.data(), 30, chain, 1);
+    EXPECT_EQ(windowRecords(store_, 4, 1), 40u);
+    EXPECT_EQ(windowRecords(store_, 4, 2), 0u) << "stamps of an older "
+                                                  "window count nothing";
+
+    // The first fill of a new window stamps what the tail already held
+    // as predating it.
+    auto third = seq(3, 500);
+    store_.append(4, third.data(), 3, chain, 2);
+    EXPECT_EQ(windowRecords(store_, 4, 2), 3u);
+    EXPECT_EQ(windowRecords(store_, 4, 1), 24u)
+        << "only the head block's commit is still from epoch 1";
+}
+
+TEST_F(StoreFixture, CompactCarriesTheWindowStampForward)
+{
+    VertexChain chain;
+    std::vector<vid_t> recs{1, 2, 3, asDelete(2), 4};
+    store_.append(6, recs.data(), 5, chain, 3);
+    // Five window records went in; the rewrite holds three survivors.
+    store_.compact(6, chain, nullptr,
+                   telemetry::AccessCategory::AdjacencyArchive,
+                   WindowStamp{5, 3});
+    EXPECT_EQ(chain.records, 3u);
+    EXPECT_EQ(windowRecords(store_, 6, 3), 5u);
+    auto more = seq(2, 40);
+    store_.append(6, more.data(), 2, chain, 3);
+    EXPECT_EQ(windowRecords(store_, 6, 3), 7u);
+    EXPECT_EQ(windowRecords(store_, 6, 4), 0u);
+}
+
+TEST_F(StoreFixture, ShortBlockWithSuccessorEndsTheChain)
+{
+    VertexChain chain;
+    auto first = seq(10);
+    store_.append(8, first.data(), 10, chain);
+    const uint64_t head = chain.head;
+    const uint32_t capacity = chain.tailCapacity;
+    ASSERT_GT(capacity, 10u);
+    // One flush: tail-fill the head block (its second commit word),
+    // then chain a new block.
+    auto second = seq(capacity, 1000);
+    store_.append(8, second.data(), capacity, chain);
+    ASSERT_NE(chain.tail, head);
+
+    // The fill's commit never became durable: the head block falls back
+    // to 10 records while its successor survived. Keeping the successor
+    // would leave a hole, so the chain ends at the head block.
+    dev_.writePod<uint64_t>(head + offsetof(AdjacencyStore::BlockHeader,
+                                            commit) +
+                                sizeof(uint64_t),
+                            0);
+    ChainScan scan;
+    const VertexChain loaded = store_.loadChainValidated(8, scan);
+    EXPECT_EQ(loaded.records, 10u);
+    EXPECT_EQ(loaded.tail, head);
+    EXPECT_EQ(scan.blocksDropped, 1u);
+    ChainScan again;
+    EXPECT_EQ(store_.loadChainValidated(8, again).records, 10u);
+    EXPECT_EQ(again.blocksDropped, 0u) << "the cut was persisted";
 }
 
 TEST_F(StoreFixture, CompactAppliesTombstonesAndSingleBlocks)
@@ -330,16 +397,25 @@ TEST_F(CompressedStoreFixture, MaxVidRoundTrips)
     EXPECT_EQ(out, nebrs);
 }
 
-TEST_F(CompressedStoreFixture, ContainsSearchesCompressedChunks)
+TEST_F(CompressedStoreFixture, ChunkStampIsCoveredByTheCommit)
 {
     VertexChain chain;
     auto nebrs = seq(100, 10);
-    store_.append(6, nebrs.data(), 100, chain);
+    store_.append(6, nebrs.data(), 100, chain, /*epoch=*/5);
     ASSERT_TRUE(headerAt(chain.tail).compressed());
-    EXPECT_TRUE(store_.contains(chain, 10));
-    EXPECT_TRUE(store_.contains(chain, 109));
-    EXPECT_FALSE(store_.contains(chain, 9));
-    EXPECT_FALSE(store_.contains(chain, 110));
+    EXPECT_EQ(windowRecords(store_, 6, 5), 100u);
+
+    // A chunk whose stamp word never landed must not validate: its
+    // records would be counted against the wrong window.
+    dev_.writePod<uint64_t>(chain.tail +
+                                offsetof(AdjacencyStore::BlockHeader,
+                                         commit) +
+                                sizeof(uint64_t),
+                            0);
+    ChainScan scan;
+    const VertexChain loaded = store_.loadChainValidated(6, scan, 5);
+    EXPECT_TRUE(loaded.empty());
+    EXPECT_EQ(scan.recordsTruncated, 100u);
 }
 
 TEST_F(CompressedStoreFixture, CompactionCompressesEligibleSurvivors)

@@ -200,11 +200,12 @@ class CrashSweepTest : public ::testing::Test
  *  exact full graph. With @p view_at_half, a snapshot-isolated ReadView
  *  opens after the first half of the ops and stays open across the
  *  crash window: its reclaim-floor pin and limbo parking must not leak
- *  into the persisted image. Returns the recovery report. */
+ *  into the persisted image. With @p sessions > 1 the ops are shared by
+ *  that many sessions (crash::sessionOf). Returns the recovery report. */
 RecoveryReport
 sweepOnePointXpg(const XPGraphConfig &config, const std::vector<Op> &ops,
                  vid_t nv, const FaultPlan &plan,
-                 bool view_at_half = false)
+                 bool view_at_half = false, unsigned sessions = 1)
 {
     auto &flight = telemetry::FlightRecorder::instance();
     const uint64_t dumps_before = flight.dumps();
@@ -217,7 +218,7 @@ sweepOnePointXpg(const XPGraphConfig &config, const std::vector<Op> &ops,
         if (!view_at_half) {
             std::tie(acked, submitted) = crash::runUntilCrash(
                 graph, ops, injector.get(),
-                [&] { graph.compactAllAdjs(); });
+                [&] { graph.compactAllAdjs(); }, sessions);
         } else {
             const auto half =
                 ops.begin() +
@@ -275,16 +276,10 @@ sweepOnePointXpg(const XPGraphConfig &config, const std::vector<Op> &ops,
     // Usable store: re-ingesting the lost suffix must land exactly on
     // the full graph.
     {
-        auto replay = recovered->session(0);
-        for (uint64_t k = static_cast<uint64_t>(j); k < ops.size(); ++k) {
-            const Op &op = ops[k];
-            if (op.kind == Op::Insert)
-                replay->addEdge(op.e.src, op.e.dst);
-            else if (op.kind == Op::Delete)
-                replay->delEdge(op.e.src, op.e.dst);
-            else
-                recovered->compactAllAdjs();
-        }
+        const std::vector<Op> suffix(ops.begin() + j, ops.end());
+        crash::runUntilCrash(*recovered, suffix, nullptr,
+                             [&] { recovered->compactAllAdjs(); },
+                             sessions);
     }
     recovered->archiveAll();
     crash::LiveState full(nv);
@@ -548,6 +543,62 @@ TEST_F(CrashSweepTest, XPGraphCompressedChunks)
         ++points;
     }
     EXPECT_GE(points, kMinPoints);
+}
+
+TEST_F(CrashSweepTest, XPGraphTwoLogsDuplicatesEveryMediaWrite)
+{
+    // Multiset semantics under power loss: a stream of duplicates,
+    // deletes and re-inserts fed by two sessions on the two nodes, so
+    // vertex buffers interleave both logs' records phase by phase. Tiny
+    // vertex buffers flush mid-phase (a durable prefix of a vertex's
+    // window), compaction points rewrite chains holding window records,
+    // and more phases than a log's mark ring holds force a flush-all.
+    // A crash at every media write (cycling the torn flavors) must
+    // recover to a prefix of the stream, compared as a multiset.
+    const vid_t nv = 24;
+    std::vector<Op> ops;
+    for (uint32_t i = 0; i < 560; ++i) {
+        const Edge e{i % 5, 5 + (i * 7) % 13};
+        ops.push_back(Op{i % 4 == 3 ? Op::Delete : Op::Insert, e});
+        if (i % 150 == 149)
+            ops.push_back(Op{Op::Compact, Edge{0, 0}});
+    }
+    XPGraphConfig config = xpgConfig(nv, ops.size());
+    config.bufferingThresholdEdges = 8;
+    config.maxVertexBufBytes = 32;
+    config.compressMinDegree = 8;
+
+    uint64_t media = 0;
+    {
+        XPGraph dry(config);
+        crash::runUntilCrash(dry, ops, nullptr,
+                             [&] { dry.compactAllAdjs(); }, 2);
+        ASSERT_GT(dry.stats().bufferingPhases,
+                  uint64_t{CircularEdgeLog::kPhaseMarks})
+            << "the window never outgrew the mark ring";
+        ASSERT_GT(dry.compressionStats().chunksCompressed, 0u);
+        dry.archiveAll();
+        media = dry.pmemCounters().mediaWriteOps;
+    }
+
+    constexpr FaultPlan::TornMode kModes[] = {FaultPlan::TornMode::None,
+                                              FaultPlan::TornMode::Prefix,
+                                              FaultPlan::TornMode::Suffix,
+                                              FaultPlan::TornMode::Drop};
+    uint64_t deduped = 0;
+    for (uint64_t n = 1; n <= media; ++n) {
+        FaultPlan plan;
+        plan.crashAfterMediaWrites = n;
+        plan.torn = kModes[n % 4];
+        plan.tornBytes = 8 * (1 + n % 31);
+        deduped += sweepOnePointXpg(config, ops, nv, plan,
+                                    /*view_at_half=*/false,
+                                    /*sessions=*/2)
+                       .edgesDeduped;
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+    EXPECT_GT(deduped, 0u) << "no crash point had durable window records";
 }
 
 TEST_F(CrashSweepTest, GraphOneEveryKthMediaWrite)
