@@ -83,7 +83,7 @@ if [[ "${XPG_TSAN:-0}" == "1" ]]; then
     cmake -B "${tsan_dir}" -S "${repo_root}" -DXPG_SANITIZE=thread
     cmake --build "${tsan_dir}" -j "$(nproc)" --target xpg_tests
     "${tsan_dir}/tests/xpg_tests" \
-        --gtest_filter='Sessions/*:ConcurrentIngest*:*LogSpaceContention*:IngestSession*:ConcurrentRecovery*:Telemetry*:Attribution*:ReadView*:Delete*:Compact*:Ops*:OpScope*:Explain*'
+        --gtest_filter='Sessions/*:ConcurrentIngest*:*LogSpaceContention*:IngestSession*:ConcurrentRecovery*:Telemetry*:Attribution*:ReadView*:ViewCaptureReuse*:SparseSweep*:Delete*:Compact*:Ops*:OpScope*:Explain*'
 fi
 
 if [[ "${XPG_ASAN:-0}" == "1" ]]; then
@@ -92,7 +92,7 @@ if [[ "${XPG_ASAN:-0}" == "1" ]]; then
     cmake --build "${asan_dir}" -j "$(nproc)" \
           --target xpg_tests xpg_crash_tests
     "${asan_dir}/tests/xpg_tests" \
-        --gtest_filter='PmemDeviceTest.*:PmemAllocator.*:RecoveryTest.*:XPBuffer.*:CompressedStoreFixture.*:AdjacencyCodec.*:ReadView.*:Delete*:Compact*:Ops*:OpScope*:Explain*'
+        --gtest_filter='PmemDeviceTest.*:PmemAllocator.*:RecoveryTest.*:XPBuffer.*:CompressedStoreFixture.*:AdjacencyCodec.*:ReadView.*:ViewCaptureReuse.*:SparseSweep.*:Delete*:Compact*:Ops*:OpScope*:Explain*'
     "${asan_dir}/tests/xpg_crash_tests"
 fi
 

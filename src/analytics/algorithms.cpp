@@ -1,5 +1,6 @@
 #include "analytics/algorithms.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <memory>
@@ -122,19 +123,24 @@ runBfs(GraphView &view, vid_t root, unsigned num_threads,
 
 AnalyticsResult
 runPageRank(GraphView &view, unsigned iterations, unsigned num_threads,
-            QueryBinding binding)
+            QueryBinding binding, std::span<double> ranks)
 {
     const vid_t nv = view.numVertices();
+    XPG_ASSERT(ranks.empty() || ranks.size() == nv,
+               "PageRank rank span must cover every vertex");
     telemetry::OpScope opScope(costSource(view), "pagerank",
                                telemetry::OpClass::Query);
     XPG_TRACE_SCOPE(kernelSpan, "pagerank", "query");
     QueryDriver driver(view, num_threads, binding);
 
+    const double base = 0.15 / static_cast<double>(nv);
     std::vector<double> contrib(nv, 0.0);
-    // next[] holds the ranks after the most recent sweep; seeding it
-    // with the uniform start vector makes the iterations == 0 case the
-    // initial distribution instead of all-zeros.
-    std::vector<double> next(nv, 1.0 / nv);
+    // next[] holds the ranks after the most recent sweep. A sweep skips
+    // the vertices with no record (QueryDriver::forAllVertices); with no
+    // in-neighbour their rank is the teleport base in every iteration,
+    // so it is filled in once here. With no iteration, the uniform
+    // start vector is the result.
+    std::vector<double> next(nv, iterations == 0 ? 1.0 / nv : base);
     std::vector<uint32_t> out_deg(nv, 0);
 
     AnalyticsResult result;
@@ -142,7 +148,6 @@ runPageRank(GraphView &view, unsigned iterations, unsigned num_threads,
     result.simNs += driver.forAllVertices(
         [&](vid_t v, unsigned) { out_deg[v] = view.degreeOut(v); });
 
-    const double base = 0.15 / static_cast<double>(nv);
     for (vid_t v = 0; v < nv; ++v)
         contrib[v] = (1.0 / nv) / std::max(1u, out_deg[v]);
 
@@ -174,6 +179,8 @@ runPageRank(GraphView &view, unsigned iterations, unsigned num_threads,
     double rank_sum = 0.0;
     for (vid_t v = 0; v < nv; ++v)
         rank_sum += next[v];
+    if (!ranks.empty())
+        std::copy(next.begin(), next.end(), ranks.begin());
     result.checksum = static_cast<uint64_t>(rank_sum * 1e6);
     result.touched = nv;
     result.rounds = driver.takeRounds();
@@ -184,14 +191,19 @@ runPageRank(GraphView &view, unsigned iterations, unsigned num_threads,
 
 AnalyticsResult
 runConnectedComponents(GraphView &view, unsigned num_threads,
-                       QueryBinding binding, unsigned max_iterations)
+                       QueryBinding binding, unsigned max_iterations,
+                       std::span<vid_t> labels_out)
 {
     const vid_t nv = view.numVertices();
+    XPG_ASSERT(labels_out.empty() || labels_out.size() == nv,
+               "CC label span must cover every vertex");
     telemetry::OpScope opScope(costSource(view), "cc",
                                telemetry::OpClass::Query);
     XPG_TRACE_SCOPE(kernelSpan, "cc", "query");
     QueryDriver driver(view, num_threads, binding);
 
+    // A vertex the sweep skips (no record) keeps its own label and is
+    // no vertex's neighbour, exactly as if it had been visited.
     auto labels = std::make_unique<std::atomic<vid_t>[]>(nv);
     for (vid_t v = 0; v < nv; ++v)
         labels[v].store(v, std::memory_order_relaxed);
@@ -220,9 +232,13 @@ runConnectedComponents(GraphView &view, unsigned num_threads,
     // Components = vertices that kept their own label and have presence
     // (count all roots; isolated vertices are their own component).
     uint64_t components = 0;
-    for (vid_t v = 0; v < nv; ++v)
-        if (labels[v].load(std::memory_order_relaxed) == v)
+    for (vid_t v = 0; v < nv; ++v) {
+        const vid_t label = labels[v].load(std::memory_order_relaxed);
+        if (label == v)
             ++components;
+        if (!labels_out.empty())
+            labels_out[v] = label;
+    }
     result.checksum = components;
     result.touched = nv;
     result.rounds = driver.takeRounds();

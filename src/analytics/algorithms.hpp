@@ -65,18 +65,27 @@ AnalyticsResult runOneHop(GraphView &view, std::span<const vid_t> queries,
 AnalyticsResult runBfs(GraphView &view, vid_t root, unsigned num_threads,
                        QueryBinding binding = QueryBinding::Auto);
 
-/** Pull-based PageRank for @p iterations rounds (paper: ten). */
+/**
+ * Pull-based PageRank for @p iterations rounds (paper: ten). When
+ * @p ranks is non-empty (numVertices() entries) it receives each
+ * vertex's final rank.
+ */
 AnalyticsResult runPageRank(GraphView &view, unsigned iterations,
                             unsigned num_threads,
-                            QueryBinding binding = QueryBinding::Auto);
+                            QueryBinding binding = QueryBinding::Auto,
+                            std::span<double> ranks = {});
 
 /**
  * Connected components via min-label propagation over out- and in-edges
- * (treating the graph as undirected, as CC benchmarks do).
+ * (treating the graph as undirected, as CC benchmarks do). When
+ * @p labels is non-empty (numVertices() entries) it receives each
+ * vertex's final label (once converged, the smallest id of its
+ * component).
  */
 AnalyticsResult runConnectedComponents(
     GraphView &view, unsigned num_threads,
-    QueryBinding binding = QueryBinding::Auto, unsigned max_iterations = 64);
+    QueryBinding binding = QueryBinding::Auto, unsigned max_iterations = 64,
+    std::span<vid_t> labels = {});
 
 } // namespace xpg
 

@@ -97,9 +97,9 @@ QueryDriver::noteRound(uint64_t round_ns, uint64_t active_vertices)
     // Direction-switch opportunity (ALPHA-PIM / Ligra-style signal):
     // model this round as frontier-directed push (touch the active
     // vertices, random-read their adjacency — one media read per
-    // record in the worst case) vs. a pull sweep (touch every vertex,
-    // stream the whole stored edge set — a full XPLine per
-    // records-per-line records). Absolute values are cost-model
+    // record in the worst case) vs. a pull sweep (touch the vertices a
+    // sweep visits, stream the whole stored edge set — a full XPLine
+    // per records-per-line records). Absolute values are cost-model
     // estimates; only the sign/ratio is meant to be consumed.
     const CostParams &p = globalCostParams();
     const double per_vertex = static_cast<double>(p.dramRandomLineNs);
@@ -111,13 +111,21 @@ QueryDriver::noteRound(uint64_t round_ns, uint64_t active_vertices)
     rs.pushCostNs = static_cast<double>(active_vertices) * per_vertex +
                     static_cast<double>(rs.edgesScanned) * random_rec;
     rs.pullCostNs =
-        static_cast<double>(view_.numVertices()) * per_vertex +
+        static_cast<double>(pullSweepVertices()) * per_vertex +
         static_cast<double>(stored_edges) * seq_rec;
     if (rs.pushCostNs > 0.0)
         rs.directionSwitchGain =
             (rs.pushCostNs - rs.pullCostNs) / rs.pushCostNs;
 
     rounds_.push_back(std::move(rs));
+}
+
+uint64_t
+QueryDriver::pullSweepVertices() const
+{
+    // Before any sweep gathered weights (a frontier-only driver such as
+    // BFS), and on the strided path, a sweep visits every id.
+    return allPlan_.built ? allPlan_.vertices : view_.numVertices();
 }
 
 bool
@@ -178,7 +186,8 @@ QueryDriver::chunkBoundaries(std::span<const uint64_t> weight,
 }
 
 uint64_t
-QueryDriver::buildPlan(std::span<const vid_t> vertices, Plan &plan)
+QueryDriver::buildPlan(std::span<const vid_t> vertices, Plan &plan,
+                       bool drop_empty)
 {
     const unsigned workers = executor_.numWorkers();
     plan.bound = bindingActive();
@@ -224,9 +233,31 @@ QueryDriver::buildPlan(std::span<const vid_t> vertices, Plan &plan)
     });
     build_ns += gather.maxNanos();
 
-    // Boundary scan: one serial streaming pass over the weights.
+    // Boundary scan: one serial streaming pass over the weights. A
+    // sweep plan compacts away the weight-0 vertices in the same pass
+    // (streaming the id lists too): they provably have no record.
     SimScope scan_scope;
-    chargeDramSequential(vertices.size() * sizeof(uint64_t));
+    chargeDramSequential(vertices.size() *
+                         (sizeof(uint64_t) + (drop_empty ? sizeof(vid_t)
+                                                         : 0)));
+    plan.vertices = 0;
+    for (unsigned node = 0; node < nodes; ++node) {
+        auto &list = plan.lists[node];
+        auto &wt = weights[node];
+        if (drop_empty) {
+            uint64_t kept = 0;
+            for (uint64_t i = 0; i < list.size(); ++i) {
+                if (wt[i] == 0)
+                    continue;
+                list[kept] = list[i];
+                wt[kept] = wt[i];
+                ++kept;
+            }
+            list.resize(kept);
+            wt.resize(kept);
+        }
+        plan.vertices += list.size();
+    }
 
     // Virtual slots: every node gets at least one chunk even when there
     // are fewer workers than nodes (workers then sweep several nodes).
@@ -311,7 +342,7 @@ QueryDriver::forEach(std::span<const vid_t> vertices,
         // of the round's cost. Tiny rounds (BFS frontier ramp-up) fall
         // through to the strided paths — a weight pass would cost more
         // than the imbalance it removes.
-        round_ns += buildPlan(vertices, tmpPlan_);
+        round_ns += buildPlan(vertices, tmpPlan_, /*drop_empty=*/false);
         round_ns += runPlan(tmpPlan_, fn);
     } else if (!bindingActive()) {
         // Unbound: threads float; devices charge the average remote
@@ -378,10 +409,11 @@ QueryDriver::forAllVertices(const std::function<void(vid_t, unsigned)> &fn)
         XPG_TRACE_SCOPE(roundSpan, "query_round", "query");
         uint64_t round_ns = 0;
         if (!allPlan_.built)
-            round_ns += buildPlan(allVertices_, allPlan_);
+            round_ns += buildPlan(allVertices_, allPlan_,
+                                  /*drop_empty=*/true);
         round_ns += runPlan(allPlan_, fn);
         totalNs_ += round_ns;
-        noteRound(round_ns, allVertices_.size());
+        noteRound(round_ns, allPlan_.vertices);
         return round_ns;
     }
     return forEach(allVertices_, fn);

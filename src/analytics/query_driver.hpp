@@ -44,16 +44,16 @@ namespace xpg {
  *
  * pushCostNs/pullCostNs are cost-model estimates of running this round
  * frontier-directed (touch activeVertices, random-read their
- * adjacency) vs. pull-directed (sweep every vertex, stream the whole
- * edge set sequentially). directionSwitchGain > 0 marks rounds where
- * the model says a pull sweep would have been cheaper — the
- * direction-switch opportunity signal the future frontier engine
- * consumes (ROADMAP).
+ * adjacency) vs. pull-directed (touch the vertices a forAllVertices
+ * sweep visits, stream the whole edge set sequentially).
+ * directionSwitchGain > 0 marks rounds where the model says a pull
+ * sweep would have been cheaper — the direction-switch opportunity
+ * signal the future frontier engine consumes (ROADMAP).
  */
 struct RoundStats
 {
     uint32_t round = 0;            ///< 1-based index within the driver
-    uint64_t activeVertices = 0;   ///< vertices processed this round
+    uint64_t activeVertices = 0;   ///< vertices processed (swept)
     uint64_t edgesScanned = 0;     ///< adjacency records streamed
     uint64_t sealedRecords = 0;    ///< ... from archived chain blocks
     uint64_t bufferRecords = 0;    ///< ... from DRAM vertex buffers
@@ -64,7 +64,7 @@ struct RoundStats
     std::vector<uint64_t> mediaReadOpsPerDevice; ///< per NUMA device
     uint64_t simNs = 0;            ///< simulated ns of the round
     double pushCostNs = 0.0;       ///< modeled frontier-directed cost
-    double pullCostNs = 0.0;       ///< modeled full-sweep pull cost
+    double pullCostNs = 0.0;       ///< modeled sweep-directed pull cost
     double directionSwitchGain = 0.0; ///< (push-pull)/push; >0: pull wins
 
     json::JsonValue toJson() const;
@@ -93,11 +93,14 @@ enum class SchedulePolicy
  *
  * The balanced policy caches the forAllVertices() schedule after the
  * first round, so the weight gather is paid once per driver, not once
- * per iteration. The cache stays valid for the driver's lifetime
- * because its view never changes underneath it: either the store is
- * quiescent while the driver queries it, or the driver runs over an
- * immutable point-in-time ReadView (openView()) while sessions keep
- * ingesting into the store behind it.
+ * per iteration. That schedule drops every vertex whose weight is 0
+ * (GraphView::vertexWeight: certainly no record in either direction),
+ * so a sweep visits only ids with records; the strided path and
+ * per-vertex binding still visit every id. The cache stays valid for
+ * the driver's lifetime because its view never changes underneath it:
+ * either the store is quiescent while the driver queries it, or the
+ * driver runs over an immutable point-in-time ReadView (openView())
+ * while sessions keep ingesting into the store behind it.
  */
 class QueryDriver
 {
@@ -122,7 +125,12 @@ class QueryDriver
     uint64_t forEach(std::span<const vid_t> vertices,
                      const std::function<void(vid_t, unsigned)> &fn);
 
-    /** forEach over the whole vertex space [0, numVertices). */
+    /**
+     * forEach over the whole vertex space [0, numVertices), minus the
+     * weight-0 vertices when the balanced schedule is active: a skipped
+     * vertex has no neighbour in either direction, so kernels must
+     * give it the result of a visit that saw no edge beforehand.
+     */
     uint64_t forAllVertices(const std::function<void(vid_t, unsigned)> &fn);
 
     /** Total simulated nanoseconds across all rounds so far. */
@@ -150,13 +158,15 @@ class QueryDriver
         std::vector<std::vector<vid_t>> lists;
         /// Per node: chunk boundaries, one chunk per virtual slot.
         std::vector<std::vector<uint64_t>> bounds;
+        uint64_t vertices = 0; ///< total over lists: the swept count
     };
 
     bool bindingActive() const;
     bool balancedActive() const;
     /** @return simulated ns spent building (serial classify + parallel
-     *  weight gather). */
-    uint64_t buildPlan(std::span<const vid_t> vertices, Plan &plan);
+     *  weight gather). @p drop_empty removes weight-0 vertices. */
+    uint64_t buildPlan(std::span<const vid_t> vertices, Plan &plan,
+                       bool drop_empty);
     std::vector<uint64_t> chunkBoundaries(std::span<const uint64_t> weight,
                                           uint64_t list_size,
                                           unsigned parts) const;
@@ -167,6 +177,9 @@ class QueryDriver
      *  then append this round's RoundStats (probe deltas against the
      *  previous sample + the push/pull cost estimate). */
     void noteRound(uint64_t round_ns, uint64_t active_vertices);
+    /** Vertices a pull sweep (forAllVertices) touches: the cached
+     *  plan's count once built, else the whole id space. */
+    uint64_t pullSweepVertices() const;
 
     GraphView &view_;
     QueryBinding binding_;

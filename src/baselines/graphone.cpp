@@ -837,8 +837,9 @@ GraphOne::vertexWeight(vid_t v) const
     // Gathered by the query scheduler in one ascending-id bulk sweep of
     // the per-vertex metadata.
     chargeDramSequential(2 * kCacheLineSize);
-    return kVertexFixedWeight + uint64_t{out_.meta[v].records} +
-           in_.meta[v].records;
+    const uint64_t records =
+        uint64_t{out_.meta[v].records} + in_.meta[v].records;
+    return records == 0 ? 0 : kVertexFixedWeight + records;
 }
 
 void

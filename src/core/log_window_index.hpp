@@ -112,6 +112,24 @@ class LogWindowIndex
         return visitChain(inHead_.get(), v, false, low, high, fn);
     }
 
+    /**
+     * Whether @p v's newest out- or in-record sits at or above @p low:
+     * false means no window starting at @p low holds a record of @p v.
+     * Uncharged: callers gathering in ascending id order charge the two
+     * head reads as part of their own sequential stream.
+     */
+    bool
+    reachesWindow(vid_t v, uint64_t low) const
+    {
+        if (!built_.load(std::memory_order_acquire))
+            return false; // index never built: window was empty
+        const auto reaches = [low](const std::atomic<uint64_t> &head) {
+            const uint64_t pos = head.load(std::memory_order_acquire);
+            return pos != kNone && pos >= low;
+        };
+        return reaches(outHead_[v]) || reaches(inHead_[v]);
+    }
+
   private:
     static constexpr uint64_t kNone = ~0ull;
 

@@ -2129,14 +2129,15 @@ XPGraph::vertexWeight(vid_t v) const
     // Gathered by the query scheduler in one ascending-id bulk sweep:
     // the out- and in-side state entries stream through DRAM.
     chargeDramSequential(2 * kCacheLineSize);
-    uint64_t w = kVertexFixedWeight;
+    uint64_t records = 0;
     const Partition &po = parts_[outOwner(v)];
     if (po.out)
-        w += po.out->states[outSlot(v)].records;
+        records += po.out->states[outSlot(v)].records;
     const Partition &pi = parts_[inOwner(v)];
     if (pi.in)
-        w += pi.in->states[inSlot(v)].records;
-    return w;
+        records += pi.in->states[inSlot(v)].records;
+    // Live queries read chains and buffers only: no records, no visit.
+    return records == 0 ? 0 : kVertexFixedWeight + records;
 }
 
 uint32_t
@@ -2303,13 +2304,28 @@ class XPGraph::EpochView final : public ReadView
     uint64_t
     vertexWeight(vid_t v) const override
     {
-        // Same O(1) estimate (and charge) as the live store: captured
-        // record counts of both sides; the log window is noise here.
-        chargeDramSequential(2 * kCacheLineSize);
+        // Same O(1) estimate as the live store: captured record counts
+        // of both sides. The log window only decides emptiness, probed
+        // for vertices with no captured record; the ascending-id gather
+        // streams the state slots and those window heads.
         const EpochState::ViewVertex *out = vertex(v, true);
         const EpochState::ViewVertex *in = vertex(v, false);
-        return GraphView::kVertexFixedWeight +
-               (out ? out->records : 0) + (in ? in->records : 0);
+        const uint64_t records =
+            (out ? out->records : 0) + (in ? in->records : 0);
+        uint64_t bytes = 2 * kCacheLineSize;
+        bool window = false;
+        for (unsigned node = 0;
+             records == 0 && !window && node < heads_.size(); ++node) {
+            const uint64_t low = state_->boundary[node];
+            if (heads_[node] <= low)
+                continue; // empty window: index may not even exist
+            bytes += 2 * sizeof(uint64_t);
+            window = g_->logIndexes_[node]->reachesWindow(v, low);
+        }
+        chargeDramSequential(bytes);
+        if (records == 0 && !window)
+            return 0;
+        return GraphView::kVertexFixedWeight + records;
     }
 
     uint64_t epoch() const override { return state_->epoch; }
@@ -2609,9 +2625,15 @@ XPGraph::closeView(uint64_t id)
     oldestViewNs_.store(oldest, std::memory_order_relaxed);
     if (viewBoundaries_.empty()) {
         viewsPinned_ = false;
-        // The capture cache references buffers that may sit in the
-        // limbo; drop it before returning them to the pool.
-        epochCache_.reset();
+        // A capture references only buffers live when it was taken, and
+        // every phase that retires or rewrites one bumps the epoch
+        // first. So a capture of the current epoch references nothing
+        // in the limbo and stays valid for the next open; an older one
+        // may, so drop it before the limbo returns to the pool.
+        if (epochCache_ &&
+            epochCache_->epoch !=
+                phaseEpoch_.load(std::memory_order_relaxed))
+            epochCache_.reset();
         std::vector<std::pair<std::byte *, uint32_t>> parked;
         {
             std::lock_guard<std::mutex> limbo_lock(limboMutex_);

@@ -695,7 +695,8 @@ class XPGraph : public GraphStore
     // --- read-view registry (guarded by archiveMutex_ unless noted) ---
 
     /** Last captured epoch state, reused while phaseEpoch_ is unchanged
-     *  (many views of one quiescent epoch share a single capture). */
+     *  (many views of one quiescent epoch share a single capture, and
+     *  it survives the last view's close until a phase runs). */
     std::shared_ptr<const EpochState> epochCache_;
     /** Open views' per-node log boundaries, keyed by view id. */
     std::map<uint64_t, std::vector<uint64_t>> viewBoundaries_;

@@ -62,8 +62,9 @@ class CsrView : public GraphView
     vertexWeight(vid_t v) const override
     {
         // Cost-free reference: no modeled charge for the gather.
-        return kVertexFixedWeight + out_.neighbors(v).size() +
-               in_.neighbors(v).size();
+        const uint64_t records =
+            out_.neighbors(v).size() + in_.neighbors(v).size();
+        return records == 0 ? 0 : kVertexFixedWeight + records;
     }
 
     const Csr &outCsr() const { return out_; }

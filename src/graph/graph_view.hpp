@@ -155,6 +155,11 @@ class GraphView
      * that many record-reads, so pure-degree weights would pack thousands
      * of low-degree vertices into one "light" chunk and recreate the
      * stragglers the balance exists to remove.
+     *
+     * A weight of 0 is a promise: @p v certainly has no visible record
+     * in either direction, so forEachNebrOut/In would both visit
+     * nothing and a vertex sweep (QueryDriver::forAllVertices) may skip
+     * it. Any other value promises nothing about emptiness.
      */
     virtual uint64_t vertexWeight(vid_t) const { return kVertexFixedWeight; }
 

@@ -25,6 +25,7 @@
 #include "analytics/algorithms.hpp"
 #include "baselines/graphone.hpp"
 #include "core/xpgraph.hpp"
+#include "graph/csr_view.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_store.hpp"
 #include "graph/snapshot.hpp"
@@ -434,6 +435,94 @@ TEST(ReadView, GraphOneFallbackMaterializesConsistentView)
     const AdjDump after(*view);
     EXPECT_TRUE(at_open == after);
     EXPECT_LT(view->epoch(), graph.openView()->epoch());
+}
+
+// --- ViewCaptureReuse: the epoch capture across the last close ---------
+
+TEST(ViewCaptureReuse, AppendsAfterLastCloseShowAtTheSameEpoch)
+{
+    // Closing the last view keeps the capture while no phase runs; the
+    // next view reuses it and still serves every record appended in
+    // between, through its own frozen log window.
+    const vid_t nv = 128;
+    XPGraphConfig c = smallConfig(nv, 4000);
+    c.bufferingThresholdEdges = c.elogCapacityEdges; // manual archiving
+    XPGraph graph(c);
+    auto edges = generateUniform(nv, 500, /*seed=*/81);
+    graph.session(0)->addEdges(edges.data(), edges.size());
+    graph.bufferAllEdges();
+
+    uint64_t epoch = 0;
+    {
+        const auto first = graph.openView();
+        epoch = first->epoch();
+        EXPECT_EQ(first->visibleEdges(), edges.size());
+    }
+
+    auto more = generateUniform(nv, 300, /*seed=*/82);
+    graph.session(0)->addEdges(more.data(), more.size());
+    const auto view = graph.openView();
+    EXPECT_EQ(view->epoch(), epoch) << "a session append runs no phase";
+    EXPECT_EQ(view->visibleEdges(), edges.size() + more.size());
+
+    edges.insert(edges.end(), more.begin(), more.end());
+    const CsrView ref(nv, edges);
+    EXPECT_TRUE(AdjDump(*view) == AdjDump(ref));
+    for (vid_t v = 0; v < nv; ++v) {
+        ASSERT_EQ(view->degreeOut(v), ref.degreeOut(v)) << "v=" << v;
+        ASSERT_EQ(view->degreeIn(v), ref.degreeIn(v)) << "v=" << v;
+    }
+}
+
+TEST(ViewCaptureReuse, CompactionAfterLastCloseForcesRecapture)
+{
+    // With no view open, a compaction pass drains the tombstoned hub's
+    // buffer by resetting it in place and rewrites its chain. It bumps
+    // the epoch, so the next view must recapture rather than reuse the
+    // capture the closed view left behind (which still counts the
+    // cancelled records).
+    const vid_t nv = 128;
+    const vid_t hub = 0;
+    XPGraphConfig c = smallConfig(nv, 4000);
+    c.bufferingThresholdEdges = c.elogCapacityEdges; // manual archiving
+    XPGraph graph(c);
+
+    std::vector<Edge> inserts;
+    for (vid_t v = 1; v <= 100; ++v)
+        inserts.push_back({hub, v});
+    for (const Edge &e : generateUniform(nv, 400, /*seed=*/83))
+        if (e.src != hub)
+            inserts.push_back(e);
+    std::vector<Edge> deletes;
+    for (vid_t v = 1; v <= 40; ++v)
+        deletes.push_back({hub, v});
+
+    auto session = graph.session(0);
+    session->addEdges(inserts.data(), inserts.size());
+    graph.bufferAllEdges();
+    graph.flushAllVbufs();
+    session->delEdges(deletes.data(), deletes.size());
+    graph.bufferAllEdges(); // the hub's deletes sit in its buffer
+
+    uint64_t epoch = 0;
+    {
+        const auto first = graph.openView();
+        epoch = first->epoch();
+        EXPECT_EQ(first->visibleEdges(), inserts.size() + deletes.size());
+    }
+    EXPECT_GE(graph.runCompactionPass(), 1u);
+
+    std::vector<Edge> live;
+    for (const Edge &e : inserts)
+        if (e.src != hub || e.dst > 40)
+            live.push_back(e);
+    const auto view = graph.openView();
+    EXPECT_GT(view->epoch(), epoch);
+    EXPECT_EQ(view->visibleEdges(), live.size())
+        << "the view reused a capture older than the compaction";
+    const CsrView ref(nv, live);
+    EXPECT_TRUE(AdjDump(*view) == AdjDump(ref));
+    EXPECT_EQ(view->degreeOut(hub), 60u);
 }
 
 } // namespace
