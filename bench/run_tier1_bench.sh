@@ -15,7 +15,8 @@
 #
 # With XPG_TSAN=1 a second build tree (<build-dir>-tsan) is compiled
 # with -DXPG_SANITIZE=thread and the concurrency test suites run under
-# ThreadSanitizer before the benches.
+# ThreadSanitizer before the benches, followed by 50 repeats of the
+# trace ring's concurrent writer/reader test.
 #
 # With XPG_ASAN=1 a third build tree (<build-dir>-asan) is compiled with
 # -DXPG_SANITIZE=address and the recovery/crash suites (device crash
@@ -83,7 +84,11 @@ if [[ "${XPG_TSAN:-0}" == "1" ]]; then
     cmake -B "${tsan_dir}" -S "${repo_root}" -DXPG_SANITIZE=thread
     cmake --build "${tsan_dir}" -j "$(nproc)" --target xpg_tests
     "${tsan_dir}/tests/xpg_tests" \
-        --gtest_filter='Sessions/*:ConcurrentIngest*:*LogSpaceContention*:IngestSession*:ConcurrentRecovery*:Telemetry*:Attribution*:ReadView*:ViewCaptureReuse*:SparseSweep*:Delete*:Compact*:Ops*:OpScope*:Explain*'
+        --gtest_filter='Sessions/*:ConcurrentIngest*:*LogSpaceContention*:IngestSession*:ConcurrentRecovery*:Telemetry*:Attribution*:ReadView*:ViewCaptureReuse*:ViewWindow*:SparseSweep*:Delete*:Compact*:Ops*:OpScope*:Explain*'
+    # The trace ring's writer/reader race shows in a fraction of runs:
+    # repeat its stress test so a torn read fails the stage.
+    "${tsan_dir}/tests/xpg_tests" --gtest_repeat=50 \
+        --gtest_filter='TelemetryTraceRing.ConcurrentWritersAndReaders'
 fi
 
 if [[ "${XPG_ASAN:-0}" == "1" ]]; then
@@ -92,7 +97,7 @@ if [[ "${XPG_ASAN:-0}" == "1" ]]; then
     cmake --build "${asan_dir}" -j "$(nproc)" \
           --target xpg_tests xpg_crash_tests
     "${asan_dir}/tests/xpg_tests" \
-        --gtest_filter='PmemDeviceTest.*:PmemAllocator.*:RecoveryTest.*:XPBuffer.*:CompressedStoreFixture.*:AdjacencyCodec.*:ReadView.*:ViewCaptureReuse.*:SparseSweep.*:Delete*:Compact*:Ops*:OpScope*:Explain*'
+        --gtest_filter='PmemDeviceTest.*:PmemAllocator.*:RecoveryTest.*:XPBuffer.*:CompressedStoreFixture.*:AdjacencyCodec.*:ReadView.*:ViewCaptureReuse.*:ViewWindow.*:SparseSweep.*:Delete*:Compact*:Ops*:OpScope*:Explain*'
     "${asan_dir}/tests/xpg_crash_tests"
 fi
 

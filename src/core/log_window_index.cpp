@@ -73,4 +73,41 @@ LogWindowIndex::ensureCurrent()
     indexedUpTo_.store(target, std::memory_order_release);
 }
 
+void
+WindowSummary::build(const std::vector<Edge> &window, vid_t num_vertices,
+                     bool out)
+{
+    XPG_ASSERT(window.size() <= kOffsetMask,
+               "log window too large for a window summary");
+    const auto key = [out](const Edge &e) {
+        return out ? e.src : rawVid(e.dst);
+    };
+    // Counting sort, stable: count each vertex's records, turn the
+    // counts into run ends (inclusive prefix sum), then place the
+    // records back to front so each end walks down to its run's begin.
+    offsets_.assign(static_cast<size_t>(num_vertices) + 1, 0);
+    for (const Edge &e : window)
+        ++offsets_[key(e)];
+    uint32_t sum = 0;
+    for (uint32_t &off : offsets_) {
+        sum += off;
+        off = sum;
+    }
+    recs_.resize(window.size());
+    for (auto it = window.rbegin(); it != window.rend(); ++it) {
+        const Edge &e = *it;
+        const vid_t rec = out ? e.dst
+                              : (isDelete(e.dst) ? asDelete(e.src) : e.src);
+        // The flag never disturbs the decrement: a run's cursor stays
+        // above its begin until its last (first-in-order) record.
+        uint32_t &cursor = offsets_[key(e)];
+        --cursor;
+        recs_[cursor & kOffsetMask] = rec;
+        if (isDelete(rec))
+            cursor |= kDeleteBit;
+    }
+    chargeDramSequential(offsets_.size() * sizeof(uint32_t) +
+                         recs_.size() * sizeof(vid_t));
+}
+
 } // namespace xpg

@@ -26,6 +26,10 @@
  * reclaim-floor + capacity: a position that any reader may still treat
  * as in-window (>= its visit's lower bound >= the log's reclaim floor)
  * is never lapped, so its ring slot is never rewritten while readable.
+ *
+ * Read views do not walk the chains: each view groups its own frozen
+ * window into a WindowSummary, built once from one in-order range read
+ * over the ring slots (forEachInRange).
  */
 
 #ifndef XPG_CORE_LOG_WINDOW_INDEX_HPP
@@ -40,6 +44,7 @@
 #include "core/circular_edge_log.hpp"
 #include "graph/types.hpp"
 #include "pmem/dram_device.hpp"
+#include "util/logging.hpp"
 
 namespace xpg {
 
@@ -47,9 +52,6 @@ namespace xpg {
 class LogWindowIndex
 {
   public:
-    /** Sentinel for "no bound": visit the window all the way up. */
-    static constexpr uint64_t kNoBound = ~0ull;
-
     /**
      * @param log Log to index (outlives this object).
      * @param num_vertices Vertex-id space of the graph.
@@ -72,8 +74,7 @@ class LogWindowIndex
     uint32_t
     visitOut(vid_t v, F &&fn) const
     {
-        return visitChain(outHead_.get(), v, true, log_->bufferedUpTo(),
-                          kNoBound, fn);
+        return visitChain(outHead_.get(), v, true, log_->bufferedUpTo(), fn);
     }
 
     /** In-direction variant of visitOut(): emits the stored record
@@ -82,52 +83,34 @@ class LogWindowIndex
     uint32_t
     visitIn(vid_t v, F &&fn) const
     {
-        return visitChain(inHead_.get(), v, false, log_->bufferedUpTo(),
-                          kNoBound, fn);
+        return visitChain(inHead_.get(), v, false, log_->bufferedUpTo(), fn);
     }
 
     /**
-     * Bounded variant for point-in-time views: visit only the
-     * out-records of @p v whose log position lies in [low, high),
-     * newest first. Positions at or above @p high (published after the
-     * view opened) are skipped by following the chain through them;
-     * traversal stops below @p low. The caller must have run
-     * ensureCurrent() to at least @p high while @p low was still the
-     * log's buffered bound (openView does this under the archive lock),
-     * and must pin the log's reclaim floor at or below @p low for the
-     * lifetime of the traversal.
+     * Visit the logged edges at positions [@p low, @p high) in log
+     * order, straight from the ring slots, charged as one sequential
+     * DRAM stream over them. For point-in-time views: the caller must
+     * have run ensureCurrent() to at least @p high while @p low was
+     * still the log's buffered bound (openView does this under the
+     * archive lock), and must pin the log's reclaim floor at or below
+     * @p low for the lifetime of the read, so no slot in the range is
+     * lapped.
      */
     template <typename F>
-    uint32_t
-    visitOutWindow(vid_t v, uint64_t low, uint64_t high, F &&fn) const
+    void
+    forEachInRange(uint64_t low, uint64_t high, F &&fn) const
     {
-        return visitChain(outHead_.get(), v, true, low, high, fn);
-    }
-
-    /** In-direction variant of visitOutWindow(). */
-    template <typename F>
-    uint32_t
-    visitInWindow(vid_t v, uint64_t low, uint64_t high, F &&fn) const
-    {
-        return visitChain(inHead_.get(), v, false, low, high, fn);
-    }
-
-    /**
-     * Whether @p v's newest out- or in-record sits at or above @p low:
-     * false means no window starting at @p low holds a record of @p v.
-     * Uncharged: callers gathering in ascending id order charge the two
-     * head reads as part of their own sequential stream.
-     */
-    bool
-    reachesWindow(vid_t v, uint64_t low) const
-    {
-        if (!built_.load(std::memory_order_acquire))
-            return false; // index never built: window was empty
-        const auto reaches = [low](const std::atomic<uint64_t> &head) {
-            const uint64_t pos = head.load(std::memory_order_acquire);
-            return pos != kNone && pos >= low;
-        };
-        return reaches(outHead_[v]) || reaches(inHead_[v]);
+        if (high <= low)
+            return;
+        XPG_ASSERT(built_.load(std::memory_order_acquire),
+                   "log-window range read before the index was built");
+        chargeDramSequential((high - low) * sizeof(Entry));
+        for (uint64_t pos = low; pos < high; ++pos) {
+            const Entry &e = ring_[pos % capacity_];
+            XPG_ASSERT(e.pos.load(std::memory_order_acquire) == pos,
+                       "pinned log-window slot was lapped");
+            fn(e.edge);
+        }
     }
 
   private:
@@ -144,7 +127,7 @@ class LogWindowIndex
     template <typename F>
     uint32_t
     visitChain(const std::atomic<uint64_t> *heads, vid_t v, bool out,
-               uint64_t low, uint64_t high, F &&fn) const
+               uint64_t low, F &&fn) const
     {
         if (!built_.load(std::memory_order_acquire))
             return 0; // index never built: window was empty
@@ -156,15 +139,12 @@ class LogWindowIndex
             if (e.pos.load(std::memory_order_acquire) != pos)
                 break; // slot reused by a lapped position: chain stale
             chargeDramScattered(1); // random ring-slot access
-            if (pos < high) {
-                if (out) {
-                    fn(e.edge.dst);
-                } else {
-                    fn(isDelete(e.edge.dst) ? asDelete(e.edge.src)
-                                            : e.edge.src);
-                }
-                ++n;
-            }
+            if (out)
+                fn(e.edge.dst);
+            else
+                fn(isDelete(e.edge.dst) ? asDelete(e.edge.src)
+                                        : e.edge.src);
+            ++n;
             pos = out ? e.prevOut : e.prevIn;
         }
         return n;
@@ -182,6 +162,59 @@ class LogWindowIndex
     std::atomic<uint64_t> indexedUpTo_{0};
     std::mutex buildMutex_;
     std::vector<Edge> buildScratch_;
+};
+
+/**
+ * Summary of one direction of a read view's frozen log window, built
+ * once and read-only afterwards: the window's records grouped by
+ * vertex in a CSR layout. A
+ * vertex's records keep the window's order (node-ascending, log order
+ * within a node), so reading them is one offset lookup plus a
+ * contiguous run instead of a chain walk per record.
+ *
+ * Size: one offset word per vertex id (the begin of its run, with a
+ * has-a-delete-record flag in the top bit) plus one word per window
+ * record.
+ */
+class WindowSummary
+{
+  public:
+    /** A vertex's window records. */
+    struct Run
+    {
+        const vid_t *recs = nullptr;
+        uint32_t count = 0;
+        bool deletes = false; ///< some record is delete-flagged
+    };
+
+    /**
+     * Group @p window (the view's frozen window edges in window order)
+     * by source (@p out) or by destination, storing the record a visit
+     * yields: the delete-flagged destination for out, the source
+     * (delete-flagged when the edge was a deletion) for in. Charged as
+     * sequential DRAM streams over the arrays it writes.
+     */
+    void build(const std::vector<Edge> &window, vid_t num_vertices,
+               bool out);
+
+    /** @p v's run; uncharged (callers charge the lookup). */
+    Run
+    find(vid_t v) const
+    {
+        if (offsets_.empty())
+            return {};
+        const uint32_t begin = offsets_[v] & kOffsetMask;
+        const uint32_t end = offsets_[v + 1] & kOffsetMask;
+        return {recs_.data() + begin, end - begin,
+                (offsets_[v] & kDeleteBit) != 0};
+    }
+
+  private:
+    static constexpr uint32_t kDeleteBit = 1u << 31;
+    static constexpr uint32_t kOffsetMask = kDeleteBit - 1;
+
+    std::vector<uint32_t> offsets_; ///< per vid: run begin | kDeleteBit
+    std::vector<vid_t> recs_;       ///< runs, vertex-ascending
 };
 
 } // namespace xpg

@@ -153,8 +153,6 @@ clearCompactionJournal(MemoryDevice &dev, unsigned jslot)
 }
 
 thread_local std::vector<vid_t> t_rawRecords;
-/** Per-thread scratch for a view's frozen log-window records. */
-thread_local std::vector<vid_t> t_viewWindow;
 
 /** Trace spans for chunked appends only: single-edge addEdge loops
  *  would flood the ring with sub-noise events. */
@@ -2262,9 +2260,10 @@ struct XPGraph::EpochState
  * capture (shared across views of the same epoch) plus per-node frozen
  * log heads. A vertex's visible adjacency is its captured chain
  * (forEachFrozen) + captured buffer prefix + the frozen log window
- * [boundary, head) served through the per-node LogWindowIndex; delete
- * records cancel across all three layers in arrival order. Readers are
- * lock-free and charge the same modeled costs as live queries.
+ * [boundary, head), served from the view's own per-direction
+ * WindowSummary (built on first use); delete records cancel across all
+ * three layers in arrival order. Readers are lock-free apart from that
+ * one-time build.
  */
 class XPGraph::EpochView final : public ReadView
 {
@@ -2273,7 +2272,7 @@ class XPGraph::EpochView final : public ReadView
               std::shared_ptr<const EpochState> state,
               std::vector<uint64_t> heads, uint64_t window_edges)
         : g_(&g), id_(id), state_(std::move(state)),
-          heads_(std::move(heads)),
+          heads_(std::move(heads)), windowEdges_(window_edges),
           visibleEdges_(state_->archivedOutRecords + window_edges)
     {
     }
@@ -2307,20 +2306,17 @@ class XPGraph::EpochView final : public ReadView
         // Same O(1) estimate as the live store: captured record counts
         // of both sides. The log window only decides emptiness, probed
         // for vertices with no captured record; the ascending-id gather
-        // streams the state slots and those window heads.
+        // streams the state slots and both summaries' offset words.
         const EpochState::ViewVertex *out = vertex(v, true);
         const EpochState::ViewVertex *in = vertex(v, false);
         const uint64_t records =
             (out ? out->records : 0) + (in ? in->records : 0);
         uint64_t bytes = 2 * kCacheLineSize;
         bool window = false;
-        for (unsigned node = 0;
-             records == 0 && !window && node < heads_.size(); ++node) {
-            const uint64_t low = state_->boundary[node];
-            if (heads_[node] <= low)
-                continue; // empty window: index may not even exist
-            bytes += 2 * sizeof(uint64_t);
-            window = g_->logIndexes_[node]->reachesWindow(v, low);
+        if (records == 0 && windowEdges_ != 0) {
+            bytes += 2 * sizeof(uint32_t);
+            window = summary(true).find(v).count != 0 ||
+                     summary(false).find(v).count != 0;
         }
         chargeDramSequential(bytes);
         if (records == 0 && !window)
@@ -2383,33 +2379,36 @@ class XPGraph::EpochView final : public ReadView
     }
 
     /**
-     * Visit @p v's frozen log-window records in log order (per node),
-     * charging through the window index. Out-records of a vertex can
-     * sit in any node's log (sessions append NUMA-locally), so every
-     * non-empty window is walked.
-     * @return records appended to @p recs.
+     * The frozen window's summary for one direction, built on first use
+     * by the calling (query) thread, so its cost lands in the query
+     * that needs it. Immutable afterwards; the view's pinned reclaim
+     * floor keeps the ring slots it reads unlapped.
      */
-    uint32_t
-    gatherWindow(vid_t v, bool out, std::vector<vid_t> &recs) const
+    const WindowSummary &
+    summary(bool out) const
     {
-        uint32_t n = 0;
-        for (unsigned node = 0; node < heads_.size(); ++node) {
-            const uint64_t low = state_->boundary[node];
-            const uint64_t high = heads_[node];
-            if (high <= low)
-                continue; // empty window: index may not even exist
-            const LogWindowIndex &index = *g_->logIndexes_[node];
-            const auto base =
-                static_cast<std::ptrdiff_t>(recs.size());
-            const auto push = [&recs](vid_t rec) {
-                recs.push_back(rec);
-            };
-            n += out ? index.visitOutWindow(v, low, high, push)
-                     : index.visitInWindow(v, low, high, push);
-            // newest-first per node -> log order
-            std::reverse(recs.begin() + base, recs.end());
-        }
-        return n;
+        std::call_once(summaryOnce_[out], [this, out] {
+            std::vector<Edge> window;
+            window.reserve(windowEdges_);
+            for (unsigned node = 0; node < heads_.size(); ++node)
+                if (heads_[node] > state_->boundary[node])
+                    g_->logIndexes_[node]->forEachInRange(
+                        state_->boundary[node], heads_[node],
+                        [&window](const Edge &e) { window.push_back(e); });
+            summaries_[out].build(window, g_->config_.maxVertices, out);
+        });
+        return summaries_[out];
+    }
+
+    /** @p v's frozen-window records in window order (node-ascending,
+     *  log order within a node): one offset lookup. */
+    WindowSummary::Run
+    windowRun(vid_t v, bool out) const
+    {
+        if (windowEdges_ == 0)
+            return {};
+        chargeDramScattered(1); // offset lookup
+        return summary(out).find(v);
     }
 
     uint32_t
@@ -2418,15 +2417,9 @@ class XPGraph::EpochView final : public ReadView
         XPG_ATTR_SCOPE(attrScope, QueryRead);
         chargeDramScattered(1); // captured-state slot
         const EpochState::ViewVertex *vv = vertex(v, out);
-
-        t_viewWindow.clear();
-        gatherWindow(v, out, t_viewWindow);
-        bool window_deletes = false;
-        for (vid_t rec : t_viewWindow)
-            if (isDelete(rec)) {
-                window_deletes = true;
-                break;
-            }
+        const WindowSummary::Run window = windowRun(v, out);
+        chargeDramSequential(window.count * sizeof(vid_t));
+        const vid_t *const window_end = window.recs + window.count;
 
         const AdjacencyStore *store = nullptr;
         if (vv) {
@@ -2435,9 +2428,9 @@ class XPGraph::EpochView final : public ReadView
             store = out ? part.out->store.get() : part.in->store.get();
         }
 
-        g_->noteQueryWindowRecords(t_viewWindow.size());
+        g_->noteQueryWindowRecords(window.count);
 
-        if ((vv ? vv->tombstones : 0) == 0 && !window_deletes) {
+        if ((vv ? vv->tombstones : 0) == 0 && !window.deletes) {
             // Insert-only: stream all three layers straight through.
             uint32_t n = 0;
             if (vv) {
@@ -2453,9 +2446,9 @@ class XPGraph::EpochView final : public ReadView
                     n += vv->bufCount;
                 }
             }
-            for (vid_t rec : t_viewWindow)
-                fn(rec);
-            return n + static_cast<uint32_t>(t_viewWindow.size());
+            for (const vid_t *rec = window.recs; rec != window_end; ++rec)
+                fn(*rec);
+            return n + window.count;
         }
 
         // Deletes present: assemble chain -> buffer -> window (arrival
@@ -2474,8 +2467,7 @@ class XPGraph::EpochView final : public ReadView
                                     pay + vv->bufCount);
             }
         }
-        t_rawRecords.insert(t_rawRecords.end(), t_viewWindow.begin(),
-                            t_viewWindow.end());
+        t_rawRecords.insert(t_rawRecords.end(), window.recs, window_end);
         return cancelTombstonesVisit(t_rawRecords, fn);
     }
 
@@ -2485,43 +2477,21 @@ class XPGraph::EpochView final : public ReadView
         XPG_ATTR_SCOPE(attrScope, QueryRead);
         chargeDramScattered(1); // captured-state slot
         const EpochState::ViewVertex *vv = vertex(v, out);
-        uint32_t window = 0;
-        bool window_deletes = false;
-        gatherWindowCount(v, out, window, window_deletes);
-        if ((vv ? vv->tombstones : 0) == 0 && !window_deletes)
-            return (vv ? vv->records : 0) + window;
+        const WindowSummary::Run window = windowRun(v, out);
+        if ((vv ? vv->tombstones : 0) == 0 && !window.deletes)
+            return (vv ? vv->records : 0) + window.count;
         // Deletes present: degree needs the full visit.
         return visit(v, out, [](vid_t) {});
-    }
-
-    /** Count @p v's window records without materializing them. */
-    void
-    gatherWindowCount(vid_t v, bool out, uint32_t &n,
-                      bool &deletes) const
-    {
-        for (unsigned node = 0; node < heads_.size(); ++node) {
-            const uint64_t low = state_->boundary[node];
-            const uint64_t high = heads_[node];
-            if (high <= low)
-                continue;
-            const LogWindowIndex &index = *g_->logIndexes_[node];
-            const auto count = [&](vid_t rec) {
-                ++n;
-                if (isDelete(rec))
-                    deletes = true;
-            };
-            if (out)
-                index.visitOutWindow(v, low, high, count);
-            else
-                index.visitInWindow(v, low, high, count);
-        }
     }
 
     XPGraph *g_;
     uint64_t id_;
     std::shared_ptr<const EpochState> state_;
     std::vector<uint64_t> heads_; ///< per node: log head at open
+    uint64_t windowEdges_;        ///< records in the frozen windows
     uint64_t visibleEdges_;
+    mutable std::once_flag summaryOnce_[2]; ///< [out]
+    mutable WindowSummary summaries_[2];    ///< [out]; built once
 };
 
 std::shared_ptr<const XPGraph::EpochState>

@@ -85,18 +85,24 @@ TraceBuffer::emit(const char *name, const char *cat, char ph, uint64_t tsNs,
     Slot &slot = slots_[ticket % capacity_];
     const uint64_t claim = 2 * ticket + 1;
 
-    // Claim the slot unless a newer ticket already owns it (a stalled
-    // writer that lost a full ring lap drops its event instead of
-    // corrupting the newer one).
+    // Claim the slot only from a settled (even: empty or published)
+    // sequence older than our ticket. A newer ticket's slot means we
+    // lost a full ring lap; an odd one means another writer is still
+    // storing its payload, and claiming over it would let that writer
+    // keep overwriting ours after we publish. Either way the event is
+    // dropped rather than torn.
     uint64_t cur = slot.seq.load(std::memory_order_relaxed);
     for (;;) {
-        if (cur >= claim)
+        if (cur >= claim || (cur & 1) != 0)
             return;
         if (slot.seq.compare_exchange_weak(cur, claim,
                                            std::memory_order_acq_rel,
                                            std::memory_order_relaxed))
             break;
     }
+    // Order the claim before the payload stores for readers that
+    // re-check seq after copying (collect's acquire fence pairs here).
+    std::atomic_thread_fence(std::memory_order_release);
 
     slot.name.store(name, std::memory_order_relaxed);
     slot.cat.store(cat, std::memory_order_relaxed);
@@ -107,12 +113,8 @@ TraceBuffer::emit(const char *name, const char *cat, char ph, uint64_t tsNs,
     slot.simNs.store(simNs, std::memory_order_relaxed);
     slot.opId.store(OpScope::currentOpId(), std::memory_order_relaxed);
 
-    // Publish — CAS so a newer claimant that raced in is not marked
-    // consistent with our (torn) payload.
-    uint64_t expected = claim;
-    slot.seq.compare_exchange_strong(expected, claim + 1,
-                                     std::memory_order_release,
-                                     std::memory_order_relaxed);
+    // Publish. No other writer claims an odd slot, so it is still ours.
+    slot.seq.store(claim + 1, std::memory_order_release);
 }
 
 void

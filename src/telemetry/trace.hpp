@@ -5,13 +5,15 @@
  *
  * Writers take a monotonic ticket (one fetch_add) and claim the slot
  * ticket % capacity with a per-slot sequence CAS: seq 2*ticket+1 marks
- * the write in flight, 2*ticket+2 marks it published. A writer that
- * finds its slot already claimed by a *newer* ticket (ring wrapped a
- * full lap while it was stalled) drops its event instead of corrupting
- * the newer one; the publish is a CAS for the same reason. Readers
- * validate seq-even-and-unchanged around the payload reads, so a torn
- * slot is skipped, never misreported. All payload fields are relaxed
- * atomics, which keeps the whole protocol data-race-free under TSAN.
+ * the write in flight, 2*ticket+2 marks it published. A writer claims
+ * only from an even (empty or published) seq older than its ticket: it
+ * drops its event when a *newer* ticket owns the slot (ring wrapped a
+ * full lap while it was stalled) or when another write is still in
+ * flight there, so no two writers ever store one slot's payload at
+ * once. Readers validate seq-even-and-unchanged around the payload
+ * reads, so a slot mid-write is skipped, never misreported. All payload
+ * fields are relaxed atomics, which keeps the whole protocol
+ * data-race-free under TSAN.
  *
  * Timestamps are host steady-clock nanoseconds since process start —
  * the only shared timebase across threads (SimClock streams are

@@ -525,5 +525,276 @@ TEST(ViewCaptureReuse, CompactionAfterLastCloseForcesRecapture)
     EXPECT_EQ(view->degreeOut(hub), 60u);
 }
 
+// --- ViewWindow: the view's vertex-grouped log-window summary ----------
+
+/** The records a visit of @p v yields, in visit order. */
+std::vector<vid_t>
+visitSeq(const GraphView &g, vid_t v, bool out)
+{
+    std::vector<vid_t> seq;
+    const auto push = [&seq](vid_t n) { seq.push_back(n); };
+    if (out)
+        g.forEachNebrOut(v, push);
+    else
+        g.forEachNebrIn(v, push);
+    return seq;
+}
+
+/** Per-vertex visit sequences, degrees and weights of a view. */
+struct OrderedDump
+{
+    std::vector<std::vector<vid_t>> out, in;
+    std::vector<uint32_t> degOut, degIn;
+    std::vector<uint64_t> weight;
+
+    explicit OrderedDump(const GraphView &g)
+    {
+        const vid_t nv = g.numVertices();
+        for (vid_t v = 0; v < nv; ++v) {
+            out.push_back(visitSeq(g, v, true));
+            in.push_back(visitSeq(g, v, false));
+            degOut.push_back(g.degreeOut(v));
+            degIn.push_back(g.degreeIn(v));
+            weight.push_back(g.vertexWeight(v));
+        }
+    }
+
+    bool
+    operator==(const OrderedDump &o) const
+    {
+        return out == o.out && in == o.in && degOut == o.degOut &&
+               degIn == o.degIn && weight == o.weight;
+    }
+};
+
+/**
+ * Reference window runs assembled straight from the store's un-buffered
+ * log records (node-ascending, log order within a node): the out-run
+ * of v is every window record with source v, the in-run every record
+ * with destination v, carrying the source delete-flagged for a delete.
+ * Taken with no archive phase or append since the view opened, the log
+ * window is exactly the view's frozen window.
+ */
+struct WindowRef
+{
+    std::vector<std::vector<vid_t>> out, in;
+
+    WindowRef(const XPGraph &g, vid_t nv) : out(nv), in(nv)
+    {
+        std::vector<Edge> logged;
+        g.getLoggedEdges(logged);
+        for (const Edge &e : logged) {
+            out[e.src].push_back(e.dst);
+            in[rawVid(e.dst)].push_back(isDelete(e.dst) ? asDelete(e.src)
+                                                        : e.src);
+        }
+    }
+};
+
+/** Manual-archiving config: the log window stays until bufferAllEdges. */
+XPGraphConfig
+windowConfig(vid_t nv)
+{
+    XPGraphConfig c = smallConfig(nv, 1 << 14);
+    c.bufferingThresholdEdges = c.elogCapacityEdges;
+    return c;
+}
+
+/** Edges among [lo, lo + span) only. */
+std::vector<Edge>
+edgesAmong(vid_t lo, vid_t span, uint64_t n, uint64_t seed)
+{
+    auto edges = generateUniform(span, n, seed);
+    for (Edge &e : edges) {
+        e.src += lo;
+        e.dst += lo;
+    }
+    return edges;
+}
+
+TEST(ViewWindow, RunsMatchTheLogWindowInOrder)
+{
+    // Sealed chains, vertex buffers and a window on both nodes, with
+    // duplicate edges in every layer. Vertices [128, 160) have records
+    // only in the window; [160, 256) have none at all.
+    const vid_t nv = 256;
+    XPGraph graph(windowConfig(nv));
+    auto sealed = edgesAmong(0, 128, 1500, /*seed=*/101);
+    sealed.insert(sealed.end(), sealed.begin(), sealed.begin() + 200);
+    graph.session(0)->addEdges(sealed.data(), sealed.size());
+    graph.bufferAllEdges();
+    graph.flushAllVbufs();
+    auto buffered = edgesAmong(0, 128, 800, /*seed=*/102);
+    graph.session(1)->addEdges(buffered.data(), buffered.size());
+    graph.bufferAllEdges();
+    auto window0 = edgesAmong(0, 160, 700, /*seed=*/103);
+    window0.insert(window0.end(), sealed.begin(), sealed.begin() + 50);
+    auto window1 = edgesAmong(64, 96, 600, /*seed=*/104);
+    window1.insert(window1.end(), window1.begin(), window1.begin() + 80);
+    graph.session(0)->addEdges(window0.data(), window0.size());
+    graph.session(1)->addEdges(window1.data(), window1.size());
+
+    // The reference, taken while the log window is what the view will
+    // freeze: captured chain + buffer (what the live store visits while
+    // nothing archives), then the window run; no deletes anywhere.
+    const WindowRef ref(graph, nv);
+    std::vector<std::vector<vid_t>> want_out(nv), want_in(nv);
+    std::vector<bool> has_record(nv);
+    for (vid_t v = 0; v < nv; ++v) {
+        for (const bool out : {true, false}) {
+            auto &want = out ? want_out[v] : want_in[v];
+            want = visitSeq(graph, v, out);
+            const auto &run = out ? ref.out[v] : ref.in[v];
+            want.insert(want.end(), run.begin(), run.end());
+
+            // The live store's chained window walk agrees with it.
+            std::vector<vid_t> live;
+            if (out)
+                graph.getNebrsLogOut(v, live);
+            else
+                graph.getNebrsLogIn(v, live);
+            ASSERT_EQ(live, run) << "v=" << v;
+        }
+        has_record[v] = !want_out[v].empty() || !want_in[v].empty();
+    }
+
+    const auto view = graph.openView();
+    for (unsigned node = 0; node < 2; ++node)
+        ASSERT_GT(view->frozenHead(node), view->frozenBoundary(node))
+            << "node " << node << " must hold a window";
+
+    // Appends between the open and the view's first read (which builds
+    // its summary) stay invisible, even once the live index covers them.
+    auto later = edgesAmong(0, 256, 900, /*seed=*/105);
+    graph.session(0)->addEdges(later.data(), 450);
+    graph.session(1)->addEdges(later.data() + 450, 450);
+    std::vector<vid_t> scratch;
+    graph.getNebrsLogOut(later[0].src, scratch);
+
+    for (vid_t v = 0; v < nv; ++v) {
+        for (const bool out : {true, false}) {
+            const auto &want = out ? want_out[v] : want_in[v];
+            ASSERT_EQ(visitSeq(*view, v, out), want)
+                << "v=" << v << (out ? " out" : " in");
+            ASSERT_EQ(out ? view->degreeOut(v) : view->degreeIn(v),
+                      want.size())
+                << "v=" << v << (out ? " out" : " in");
+        }
+        EXPECT_EQ(view->vertexWeight(v) != 0, has_record[v]) << "v=" << v;
+    }
+    EXPECT_GT(view->vertexWeight(140), 0u) << "window-only vertex";
+    EXPECT_EQ(view->vertexWeight(200), 0u) << "vertex with no record";
+
+    // Buffering and flushing after the open stay invisible too.
+    const OrderedDump before(*view);
+    graph.bufferAllEdges();
+    graph.flushAllVbufs();
+    EXPECT_TRUE(OrderedDump(*view) == before);
+}
+
+TEST(ViewWindow, DeleteInWindowFallsBackToFullVisit)
+{
+    // Deletes of sealed and buffered records sit in the window, next to
+    // inserts of the same vertices: their degree falls back to the
+    // folded visit, which must match the multiset oracle.
+    const vid_t nv = 128;
+    const vid_t hub = 3;
+    XPGraph graph(windowConfig(nv));
+    std::vector<Edge> inserts;
+    for (vid_t v = 0; v < 60; ++v)
+        inserts.push_back({hub, v % 40}); // duplicates of 20 targets
+    const auto rest = generateUniform(nv, 1200, /*seed=*/111);
+    inserts.insert(inserts.end(), rest.begin(), rest.end());
+    auto s0 = graph.session(0);
+    auto s1 = graph.session(1);
+    s0->addEdges(inserts.data(), inserts.size() / 2);
+    graph.bufferAllEdges();
+    graph.flushAllVbufs();
+    s1->addEdges(inserts.data() + inserts.size() / 2,
+                 inserts.size() - inserts.size() / 2);
+    graph.bufferAllEdges();
+
+    std::vector<Edge> window = generateUniform(nv, 300, /*seed=*/112);
+    std::vector<Edge> deletes;
+    for (vid_t v = 0; v < 30; ++v)
+        deletes.push_back({hub, v}); // one copy each of 30 targets
+    for (uint64_t i = 0; i < rest.size(); i += 17)
+        deletes.push_back(rest[i]);
+    deletes.push_back(window[0]); // an insert and its delete, both window
+    s0->addEdges(window.data(), window.size() / 2);
+    s0->delEdges(deletes.data(), deletes.size() / 2);
+    s1->addEdges(window.data() + window.size() / 2,
+                 window.size() - window.size() / 2);
+    s1->delEdges(deletes.data() + deletes.size() / 2,
+                 deletes.size() - deletes.size() / 2);
+
+    std::vector<Edge> live = inserts;
+    live.insert(live.end(), window.begin(), window.end());
+    for (const Edge &d : deletes) {
+        const auto it = std::find(live.begin(), live.end(), d);
+        ASSERT_NE(it, live.end());
+        live.erase(it);
+    }
+    const CsrView oracle(nv, live);
+
+    const auto view = graph.openView();
+    const WindowRef ref(graph, nv);
+    const auto has_delete = [](const std::vector<vid_t> &run) {
+        return std::any_of(run.begin(), run.end(),
+                           [](vid_t r) { return isDelete(r); });
+    };
+    ASSERT_TRUE(has_delete(ref.out[hub]));
+    ASSERT_TRUE(has_delete(ref.in[0]));
+    for (vid_t v = 0; v < nv; ++v) {
+        for (const bool out : {true, false}) {
+            std::vector<vid_t> got = visitSeq(*view, v, out);
+            std::vector<vid_t> want = visitSeq(oracle, v, out);
+            std::sort(got.begin(), got.end());
+            std::sort(want.begin(), want.end());
+            ASSERT_EQ(got, want) << "v=" << v << (out ? " out" : " in");
+            ASSERT_EQ(out ? view->degreeOut(v) : view->degreeIn(v),
+                      want.size())
+                << "v=" << v << (out ? " out" : " in");
+        }
+    }
+}
+
+TEST(ViewWindow, ConcurrentFirstUseBuildsOneSummary)
+{
+    // Four query threads hit a fresh view at once, so they race on the
+    // lazy summary build; each must see what a second view of the same
+    // state shows a single reader.
+    const vid_t nv = 512;
+    XPGraph graph(windowConfig(nv));
+    auto archived = generateUniform(nv, 3000, /*seed=*/121);
+    graph.session(0)->addEdges(archived.data(), archived.size());
+    graph.bufferAllEdges();
+    auto window = generateUniform(nv, 2000, /*seed=*/122);
+    graph.session(0)->addEdges(window.data(), 1000);
+    graph.session(1)->addEdges(window.data() + 1000, 1000);
+
+    const auto raced = graph.openView();
+    const auto calm = graph.openView();
+    ASSERT_EQ(raced->epoch(), calm->epoch());
+
+    constexpr unsigned kThreads = 4;
+    std::atomic<unsigned> ready{0};
+    std::vector<std::unique_ptr<OrderedDump>> dumps(kThreads);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            ready.fetch_add(1, std::memory_order_acq_rel);
+            while (ready.load(std::memory_order_acquire) < kThreads) {
+            }
+            dumps[t] = std::make_unique<OrderedDump>(*raced);
+        });
+    for (std::thread &th : threads)
+        th.join();
+
+    const OrderedDump want(*calm);
+    for (unsigned t = 0; t < kThreads; ++t)
+        EXPECT_TRUE(*dumps[t] == want) << "thread " << t;
+}
+
 } // namespace
 } // namespace xpg
